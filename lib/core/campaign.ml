@@ -234,7 +234,7 @@ let load_checkpoint ~path : (checkpoint, string * string) result =
    entropies), record everything [Explain.explain_crash] needs to rebuild
    the testcase: the structured seed, the core, the secret and the
    campaign's generation settings. *)
-let write_crash_artifact ~core ~options ~secret dir (c : crash) =
+let write_crash_artifact ~core ~secret options dir (c : crash) =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (Printf.sprintf "crash-%04d.json" c.cr_iteration) in
   let json =
@@ -369,7 +369,7 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
       ~help:"Phase 3 (dual-DUT simulation + oracles) seconds"
       "dvz_phase3_seconds"
   in
-  (* Lanes the dispatcher will actually use: [jobs] clamped to the
+  (* The lanes the dispatcher will actually use: [jobs] clamped to the
      hardware (with a one-time stderr note when clamped).  The per-domain
      counters are sized from it — the executor asserts its worker index in
      range instead of silently folding high slots into the last one. *)
@@ -605,8 +605,8 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
             Metrics.incr m_crashes;
             (match rz.rz_crash_dir with
             | Some dir ->
-                write_crash_artifact ~core:cfg.Dvz_uarch.Config.name ~options
-                  ~secret dir crash
+                write_crash_artifact ~core:cfg.Dvz_uarch.Config.name ~secret
+                  options dir crash
             | None -> ());
             if events_on then
               Events.emit tel.t_events
@@ -752,9 +752,9 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
                 ~corpus:snap ~rng ~start:!b ~count)
         in
         (* [jobs] counts total lanes (orchestrator included) and
-           [Parallel.map ~domains] now shares that meaning, pre-clamped to
-           the hardware above; effective jobs = 1 stays on this domain
-           with no spawn overhead.  A [Fault.Killed] raised by any
+           [Parallel.map ~domains] shares that meaning, pre-clamped to the
+           hardware above; effective jobs = 1 stays on this domain with no
+           spawn overhead.  A [Fault.Killed] raised by any
            executor is re-raised here by [Parallel.map] — lowest iteration
            first — exactly as the sequential loop propagates it.  A
            [dispatch] override (the fleet coordinator) replaces execution
@@ -765,11 +765,8 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
           match dispatch with
           | Some d -> d ctx plans
           | None ->
-              if jobs_effective <= 1 || count <= 1 then
-                List.map (Executor.execute ctx) plans
-              else
-                Dvz_util.Parallel.map ~domains:jobs_effective
-                  (Executor.execute ctx) plans
+              Dvz_util.Parallel.map ~domains:jobs_effective
+                (Executor.execute ctx) plans
         in
         List.iter fold_outcome outcomes);
        let b1 = !b + count in

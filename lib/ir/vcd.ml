@@ -93,13 +93,10 @@ let sample t read =
 
 let finish t = Buffer.add_string t.out (Printf.sprintf "#%d\n" t.time)
 
-let dump_simulation ?engine ?opt nl ~cycles ~drive =
+let dump_simulation ?engine nl ~cycles ~drive =
   let out = Buffer.create 1024 in
-  (* The writer enumerates named signals of the *source* netlist; the
-     passes preserve named cells, so an optimized simulation produces the
-     same signal list and identical waveforms (regression-tested). *)
   let t = create ~out nl in
-  let sim = Sim.create ?engine ?opt nl in
+  let sim = Sim.create ?engine nl in
   for c = 0 to cycles - 1 do
     drive sim c;
     Sim.eval sim;

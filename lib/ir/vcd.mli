@@ -26,11 +26,9 @@ val finish : t -> unit
 (** Writes the final timestamp. *)
 
 val dump_simulation :
-  ?engine:Sim.engine -> ?opt:bool ->
-  Netlist.t -> cycles:int -> drive:(Sim.t -> int -> unit) -> string
+  ?engine:Sim.engine -> Netlist.t -> cycles:int ->
+  drive:(Sim.t -> int -> unit) -> string
 (** Convenience: simulate [cycles] cycles of a fresh {!Sim} (built with
     [engine], default [`Compiled]), calling [drive sim cycle] before each
     evaluation, and return the VCD text.  Both engines produce identical
-    waveforms.  [opt] (default [false]) optimizes the netlist first; the
-    passes preserve every named signal, so the VCD signal list and
-    waveforms are unchanged (the dump remains byte-identical). *)
+    waveforms. *)

@@ -118,13 +118,21 @@ let map ?domains ?retry:policy f xs =
     | None -> effective_lanes (available ())
   in
   if lanes < 2 || n <= 1 then begin
-    let m_dom = domain_counter 0 in
-    List.map
-      (fun x ->
-        Metrics.incr m_tasks;
-        Metrics.incr m_dom;
-        run_task policy f x)
-      xs
+    (* The caller runs every task itself, so it is slot 0 of this map even
+       when it is a worker of an enclosing one: a nested campaign sizes its
+       per-slot arrays from its own lane count. *)
+    let saved = Domain.DLS.get worker_key in
+    Domain.DLS.set worker_key 0;
+    Fun.protect
+      ~finally:(fun () -> Domain.DLS.set worker_key saved)
+      (fun () ->
+        let m_dom = domain_counter 0 in
+        List.map
+          (fun x ->
+            Metrics.incr m_tasks;
+            Metrics.incr m_dom;
+            run_task policy f x)
+          xs)
   end
   else begin
     let lanes = min lanes n in

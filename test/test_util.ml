@@ -184,6 +184,37 @@ let test_parallel_worker_index () =
   Alcotest.(check int) "slot restored after the map" 0
     (Dvz_util.Parallel.worker_index ())
 
+(* A sequential map nested inside a parallel worker runs every task on
+   that worker's domain, so it must report slot 0 to its tasks (a nested
+   campaign sizes its per-slot counters from its own single lane) and hand
+   the outer slot back afterwards.  The sleep keeps the caller from
+   draining the outer list before the spawned worker starts. *)
+let test_parallel_nested_sequential_index () =
+  let seen =
+    Dvz_util.Parallel.map ~domains:2
+      (fun _ ->
+        Unix.sleepf 0.005;
+        let outer = Dvz_util.Parallel.worker_index () in
+        let inner =
+          Dvz_util.Parallel.map ~domains:1
+            (fun _ -> Dvz_util.Parallel.worker_index ())
+            [ 1; 2; 3 ]
+        in
+        (outer, inner, Dvz_util.Parallel.worker_index ()))
+      (List.init 16 (fun i -> i))
+  in
+  if Dvz_util.Parallel.available () >= 2 then
+    Alcotest.(check bool) "some task ran on spawned slot 1" true
+      (List.exists (fun (outer, _, _) -> outer = 1) seen);
+  List.iter
+    (fun (outer, inner, after) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "inner map under outer slot %d reports slot 0" outer)
+        [ 0; 0; 0 ] inner;
+      Alcotest.(check int) "outer slot restored after the inner map" outer
+        after)
+    seen
+
 (* Regression for the worker-count off-by-one: [~domains:N] means N total
    lanes, so no task may ever observe a worker index >= N (the old code
    spawned [min N (n-1)] domains *plus* ran the caller as worker 0, putting
@@ -269,6 +300,8 @@ let () =
             test_parallel_map_sequential_fallback;
           Alcotest.test_case "available" `Quick test_parallel_available;
           Alcotest.test_case "worker index" `Quick test_parallel_worker_index;
+          Alcotest.test_case "nested sequential map index" `Quick
+            test_parallel_nested_sequential_index;
           Alcotest.test_case "domains means total lanes" `Quick
             test_parallel_total_lanes;
           Alcotest.test_case "effective lanes clamp" `Quick
