@@ -307,9 +307,7 @@ module Simbench = struct
         tb_metrics = snap;
         tb_profile = profile;
         tb_trace = trace;
-        tb_trace_dropped = 0;
-        tb_events = [ {|{"type":"assign","epoch":3,"plans":8}|} ];
-        tb_events_dropped = 0 }
+        tb_trace_dropped = 0 }
     in
     let payload = Dvz_fleet.Wire.telemetry_to_string batch in
     let codec () =

@@ -182,14 +182,14 @@ let obs_t =
    the campaign publishes to them, and emits the end-of-run artifacts.
    Everything here observes the campaign; nothing feeds back into it.
    [fleet_board] adds a /fleet route serving the coordinator's live
-   per-worker supervision snapshot; [plane] (fleet mode) folds worker
-   telemetry into every surface — [worker="N"] label groups on /metrics,
-   per-worker health on /status and /fleet, and merged end-of-run
-   profile/trace artifacts covering coordinator and workers.
-   [events_ring], when given, serves /events (the fleet coordinator
-   pre-wires it into the plane so worker lifecycle lines land there,
-   slot-labelled, without ever touching the campaign's own event
-   stream). *)
+   per-worker supervision snapshot, embedded in /status as "fleet";
+   [plane] (fleet mode) folds worker telemetry into every surface —
+   [worker="N"] label groups on /metrics, per-worker telemetry health
+   on /fleet, and merged end-of-run profile/trace artifacts covering
+   coordinator and workers.  [events_ring], when given, serves /events
+   (the fleet coordinator emits worker lifecycle lines into it through
+   the plane, slot-labelled, without ever touching the campaign's own
+   event stream). *)
 let with_obs ?fleet_board ?plane ?events_ring obs telemetry k =
   let profiling =
     obs.ob_profile || obs.ob_profile_json <> None || obs.ob_trace_out <> None
@@ -217,12 +217,26 @@ let with_obs ?fleet_board ?plane ?events_ring obs telemetry k =
             Campaign.t_events = events;
             t_board = Some board }
         in
-        let with_fleet_health key j =
-          match (plane, j) with
-          | Some p, Dvz_obs.Json.Obj fields ->
-              Dvz_obs.Json.Obj
-                (fields @ [ (key, Dvz_fleet.Telemetry.health_json p) ])
+        let append_field j kv =
+          match j with
+          | Dvz_obs.Json.Obj fields -> Dvz_obs.Json.Obj (fields @ [ kv ])
           | _ -> j
+        in
+        (* The /fleet object: the coordinator's supervision board plus
+           the plane's per-slot telemetry health.  /status embeds the same
+           object under "fleet". *)
+        let fleet_json fb =
+          let board =
+            match Dvz_fleet.Coordinator.board_read fb with
+            | Some s -> Dvz_fleet.Coordinator.snapshot_json s
+            | None ->
+                Dvz_obs.Json.Obj [ ("phase", Dvz_obs.Json.Str "starting") ]
+          in
+          match plane with
+          | Some p ->
+              append_field board
+                ("telemetry", Dvz_fleet.Telemetry.health_json p)
+          | None -> board
         in
         let routes =
           [ ( "/healthz",
@@ -248,7 +262,10 @@ let with_obs ?fleet_board ?plane ?events_ring obs telemetry k =
                       Dvz_obs.Json.Obj
                         [ ("phase", Dvz_obs.Json.Str "starting") ]
                 in
-                Dvz_obs.Server.json (with_fleet_health "fleet" base) );
+                Dvz_obs.Server.json
+                  (match fleet_board with
+                  | Some fb -> append_field base ("fleet", fleet_json fb)
+                  | None -> base) );
             ( "/metrics",
               fun _ ->
                 { Dvz_obs.Server.status = 200;
@@ -288,17 +305,7 @@ let with_obs ?fleet_board ?plane ?events_ring obs telemetry k =
           match fleet_board with
           | None -> []
           | Some fb ->
-              [ ( "/fleet",
-                  fun _ ->
-                    let base =
-                      match Dvz_fleet.Coordinator.board_read fb with
-                      | Some s -> Dvz_fleet.Coordinator.snapshot_json s
-                      | None ->
-                          Dvz_obs.Json.Obj
-                            [ ("phase", Dvz_obs.Json.Str "starting") ]
-                    in
-                    Dvz_obs.Server.json (with_fleet_health "telemetry" base)
-                ) ]
+              [ ("/fleet", fun _ -> Dvz_obs.Server.json (fleet_json fb)) ]
         in
         (match Dvz_obs.Server.start ~port ~routes () with
         | Error e ->
@@ -573,9 +580,10 @@ let fleet_cmd =
             coverage_guided = not no_coverage }
         in
         let fleet_board = Dvz_fleet.Coordinator.new_board () in
-        (* Worker lifecycle events land in this ring (slot-labelled by
-           the plane) for /events — never in the campaign's own event
-           stream, which must stay byte-identical to --jobs 1. *)
+        (* The coordinator's worker lifecycle lines land in this ring
+           (slot-labelled by the plane) for /events — never in the
+           campaign's own event stream, which must stay byte-identical
+           to --jobs 1. *)
         let events_ring = Dvz_obs.Events.ring () in
         let plane = Dvz_fleet.Telemetry.create ~events:events_ring () in
         let profiling =

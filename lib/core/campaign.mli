@@ -193,7 +193,6 @@ val run :
   ?resilience:resilience ->
   ?jobs:int ->
   ?dispatch:(Executor.ctx -> Scheduler.plan list -> Executor.outcome list) ->
-  ?on_checkpoint:(int -> unit) ->
   Dvz_uarch.Config.t ->
   options ->
   stats
@@ -215,9 +214,7 @@ val run :
     execute them anywhere — the fleet coordinator ships them to worker
     processes — and, because all side effects stay in the fold here,
     any faithful dispatcher reproduces in-process results byte for
-    byte.  [on_checkpoint] is called with the iteration cursor right
-    after each checkpoint file is written (the fleet coordinator uses
-    it to run the checkpoint/ack exchange).
+    byte.
 
     Raises {!Bad_checkpoint} on a corrupt or incompatible [rz_resume]
     file, [Invalid_argument] on an options/core mismatch or non-positive

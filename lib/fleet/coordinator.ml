@@ -91,7 +91,6 @@ type worker_row = {
   fw_restarts : int;
   fw_done : int;  (* outcomes produced over all incarnations *)
   fw_last_rx_age_s : float;
-  fw_acked_iteration : int;
 }
 
 type snapshot = {
@@ -121,8 +120,7 @@ let snapshot_json s =
                    ("state", Json.Str w.fw_state);
                    ("restarts", Json.Int w.fw_restarts);
                    ("outcomes", Json.Int w.fw_done);
-                   ("last_rx_age_s", Json.Float w.fw_last_rx_age_s);
-                   ("acked_iteration", Json.Int w.fw_acked_iteration) ])
+                   ("last_rx_age_s", Json.Float w.fw_last_rx_age_s) ])
              s.fb_workers) );
       ("restarts", Json.Int s.fb_restarts);
       ("retired", Json.Int s.fb_retired);
@@ -136,6 +134,9 @@ type wstate =
   | Live
   | Retired
 
+(* The one owner of every per-worker fact the supervisor acts on: pid,
+   state, restarts, outcome count and last-frame time.  The telemetry
+   plane keeps only what arrives inside Telemetry frames. *)
 type worker = {
   w_slot : int;
   mutable w_state : wstate;
@@ -144,10 +145,9 @@ type worker = {
   mutable w_in : Unix.file_descr;  (* coordinator → worker *)
   mutable w_out : Unix.file_descr;  (* worker → coordinator *)
   mutable w_reader : Proto.reader;
-  mutable w_last_rx : float;
+  mutable w_last_rx : float;  (* any frame counts as a sign of life *)
   mutable w_restarts : int;  (* spawns beyond the first *)
-  mutable w_done : int;
-  mutable w_acked : int;
+  mutable w_done : int;  (* Outcome frames received, all incarnations *)
   mutable w_assigned : Scheduler.plan list;  (* outstanding, plan order *)
 }
 
@@ -187,8 +187,7 @@ let publish st =
              fw_last_rx_age_s =
                (match w.w_state with
                | Live -> Float.max 0.0 (t -. w.w_last_rx)
-               | _ -> 0.0);
-             fw_acked_iteration = w.w_acked })
+               | _ -> 0.0) })
   in
   Atomic.set st.st_board
     (Some
@@ -206,10 +205,14 @@ let publish st =
 
 (* Default launch: re-exec this binary as [dejavuzz worker --slot K] with
    the protocol on its stdin/stdout (stderr inherited).  Tests inject
-   [fl_launch] to fork-without-exec instead. *)
+   [fl_launch] to fork-without-exec instead.  Both pipes are close-on-exec:
+   the child's dup2 onto fd 0/1 clears the flag on its own copies, while
+   the coordinator's ends — this worker's and every earlier sibling's —
+   stay out of the child.  A worker holding the write end of its own
+   stdin would never see EOF, and so would outlive a killed coordinator. *)
 let exec_launch ~slot ~incarnation =
-  let to_worker_r, to_worker_w = Unix.pipe ~cloexec:false () in
-  let from_worker_r, from_worker_w = Unix.pipe ~cloexec:false () in
+  let to_worker_r, to_worker_w = Unix.pipe ~cloexec:true () in
+  let from_worker_r, from_worker_w = Unix.pipe ~cloexec:true () in
   let argv =
     [| Sys.executable_name; "worker"; "--slot"; string_of_int slot;
        "--incarnation"; string_of_int incarnation |]
@@ -282,6 +285,12 @@ let declare_dead st w ~reason =
   publish st;
   orphans
 
+(* A lifecycle line for [w]'s current incarnation on the plane's event
+   sink. *)
+let worker_event st w kind fields =
+  with_plane st (fun p ->
+      Telemetry.event p ~slot:w.w_slot ~incarnation:w.w_restarts kind fields)
+
 let spawn st w =
   let launch =
     match st.st_opts.fl_launch with
@@ -301,14 +310,21 @@ let spawn st w =
   w.w_last_rx <- now ();
   w.w_state <- Live;
   st.st_spawns <- st.st_spawns + 1;
+  worker_event st w "worker_start" [ ("pid", Json.Int pid) ];
   (* The replacement needs nothing beyond the config frame: campaign
      state lives here, and the last durable checkpoint (plus the batch
-     cursor inside it) already covers everything acked — a respawn can
+     cursor inside it) already covers everything folded — a respawn can
      never lose an accepted finding. *)
   (match st.st_config_frame with
   | Some frame -> (
-      try write_all w.w_in frame
-      with Unix.Unix_error _ -> ignore (declare_dead st w ~reason:"died during config"))
+      match write_all w.w_in frame with
+      | () ->
+          worker_event st w "config"
+            [ ("jobs", Json.Int st.st_opts.fl_worker_jobs);
+              ("profile", Json.Bool st.st_opts.fl_profile);
+              ("trace", Json.Bool st.st_opts.fl_trace) ]
+      | exception Unix.Unix_error _ ->
+          ignore (declare_dead st w ~reason:"died during config"))
   | None -> ());
   publish st
 
@@ -359,14 +375,18 @@ let distribute st ep =
                        { a_epoch = st.st_epoch;
                          a_payload = Wire.plans_to_string chunk })
                 in
-                try write_all w.w_in frame
-                with Unix.Unix_error _ ->
-                  (* Death discovered on write: reclaim the chunk with the
-                     rest of the shard. *)
-                  let orphans =
-                    declare_dead st w ~reason:"died during assignment"
-                  in
-                  rest := orphans @ !rest))
+                match write_all w.w_in frame with
+                | () ->
+                    worker_event st w "assign"
+                      [ ("epoch", Json.Int st.st_epoch);
+                        ("plans", Json.Int (List.length chunk)) ]
+                | exception Unix.Unix_error _ ->
+                    (* Death discovered on write: reclaim the chunk with
+                       the rest of the shard. *)
+                    let orphans =
+                      declare_dead st w ~reason:"died during assignment"
+                    in
+                    rest := orphans @ !rest))
           idle;
         ep.ep_unassigned <- !rest
       end
@@ -392,20 +412,16 @@ let record_outcome ep w ~iteration payload =
             w.w_assigned;
         Ok ()
 
-(* Telemetry/Hello/Heartbeat bookkeeping shared by the dispatch loop
-   and the shutdown drain.  Observation only: ingest failures never
-   condemn a worker, and nothing here feeds the campaign fold. *)
+(* Hello/Telemetry bookkeeping shared by the dispatch loop and the
+   shutdown drain.  Observation only: ingest failures never condemn a
+   worker, and nothing here feeds the campaign fold. *)
 let observe_msg st w msg =
-  match msg with
-  | Proto.Hello { h_pid; h_clock_us; _ } ->
-      with_plane st (fun p ->
+  with_plane st (fun p ->
+      match msg with
+      | Proto.Hello { h_clock_us } ->
           Telemetry.hello p ~slot:w.w_slot ~incarnation:w.w_restarts
-            ~pid:h_pid ~clock_us:h_clock_us)
-  | Proto.Heartbeat { b_done; _ } ->
-      with_plane st (fun p ->
-          Telemetry.heartbeat p ~slot:w.w_slot ~done_count:b_done)
-  | Proto.Telemetry { t_incarnation; t_payload; _ } ->
-      with_plane st (fun p ->
+            ~clock_us:h_clock_us
+      | Proto.Telemetry { t_incarnation; t_payload } -> (
           match Wire.telemetry_of_string t_payload with
           | Ok batch ->
               ignore
@@ -414,31 +430,17 @@ let observe_msg st w msg =
           | Error e ->
               logf st "worker %d sent an undecodable telemetry payload (%s)"
                 w.w_slot e)
-  | _ -> with_plane st (fun p -> Telemetry.seen p ~slot:w.w_slot)
+      | _ -> ())
 
 let handle_msg st ep w msg =
   w.w_last_rx <- now ();
-  observe_msg st w msg;
   match msg with
-  | Proto.Hello { h_pid; _ } ->
-      if h_pid <> w.w_pid && w.w_pid > 0 then
-        logf st "worker %d reports pid %d (spawned as %d)" w.w_slot h_pid
-          w.w_pid;
-      Ok ()
-  | Proto.Heartbeat { b_done; _ } ->
-      w.w_done <- max w.w_done b_done;
-      Ok ()
-  | Proto.Telemetry _ -> Ok ()
   | Proto.Outcome { o_iteration; o_payload; _ } ->
       record_outcome ep w ~iteration:o_iteration o_payload
-  | Proto.Finding _ ->
-      (* Advisory only — the fold owns dedup.  The board's per-worker
-         outcome counts already move; nothing else to do. *)
+  | Proto.Hello _ | Proto.Telemetry _ ->
+      observe_msg st w msg;
       Ok ()
-  | Proto.Checkpoint_ack { k_iteration; _ } ->
-      w.w_acked <- max w.w_acked k_iteration;
-      Ok ()
-  | Proto.Config _ | Proto.Assign _ | Proto.Checkpoint _ | Proto.Shutdown ->
+  | Proto.Config _ | Proto.Assign _ | Proto.Shutdown ->
       Error
         (Printf.sprintf "unexpected %s frame from worker"
            (Proto.kind_name msg))
@@ -638,14 +640,6 @@ let dispatch_batch st ~budget_limits (ctx : Executor.ctx) plans =
          | None -> assert false (* filled = count *))
   end
 
-let broadcast st msg =
-  let frame = Proto.encode msg in
-  Array.iter
-    (fun w ->
-      if w.w_state = Live then
-        try write_all w.w_in frame with Unix.Unix_error _ -> ())
-    st.st_workers
-
 (* After Shutdown is broadcast each worker sends one last telemetry
    flush before exiting; read its pipe until EOF (or a short deadline)
    so that flush lands in the plane instead of dying in the buffer. *)
@@ -679,7 +673,14 @@ let drain_final st w =
   go ()
 
 let shutdown st =
-  broadcast st Proto.Shutdown;
+  let frame = Proto.encode Proto.Shutdown in
+  Array.iter
+    (fun w ->
+      if w.w_state = Live then begin
+        worker_event st w "shutdown" [ ("outcomes", Json.Int w.w_done) ];
+        try write_all w.w_in frame with Unix.Unix_error _ -> ()
+      end)
+    st.st_workers;
   Array.iter
     (fun w ->
       if w.w_state = Live then begin
@@ -746,7 +747,6 @@ let run ?(telemetry = Campaign.quiet) ?(resilience = Campaign.no_resilience)
               w_last_rx = 0.0;
               w_restarts = 0;  (* deaths, not spawns: first spawn is free *)
               w_done = 0;
-              w_acked = 0;
               w_assigned = [] });
       st_board = board;
       st_plane = plane;
@@ -757,16 +757,13 @@ let run ?(telemetry = Campaign.quiet) ?(resilience = Campaign.no_resilience)
       st_hb_missed = 0;
       st_inline = 0 }
   in
-  (* Respawns resume from the last durably acked state by construction:
+  (* Respawns resume from the last durable state by construction:
      the checkpoint file IS the authority, so keep one good generation
      around and fall back to it when the newest is damaged. *)
   let resilience = { resilience with Campaign.rz_checkpoint_keep = true } in
   let dispatch ctx plans = dispatch_batch st ~budget_limits ctx plans in
-  let on_checkpoint cursor =
-    broadcast st (Proto.Checkpoint { k_iteration = cursor })
-  in
   let run_campaign resilience =
-    Campaign.run ~telemetry ~resilience ~dispatch ~on_checkpoint cfg options
+    Campaign.run ~telemetry ~resilience ~dispatch cfg options
   in
   let stats =
     Fun.protect

@@ -69,7 +69,6 @@ type worker_row = {
   fw_restarts : int;
   fw_done : int;  (** outcomes produced across all incarnations *)
   fw_last_rx_age_s : float;  (** seconds since the last frame, if live *)
-  fw_acked_iteration : int;  (** newest checkpoint cursor acknowledged *)
 }
 
 type snapshot = {
@@ -99,9 +98,13 @@ val run :
   Dejavuzz.Campaign.stats * fleet_stats
 (** Runs the campaign on a supervised fleet.  [plane], when given,
     receives every worker's telemetry: Hello handshakes (clock
-    alignment), heartbeats, and [Telemetry] frame ingestion, including
-    a final drain of each pipe after Shutdown so the workers' last
-    flushes land before the fds close.  Telemetry is observation-only
+    alignment) and [Telemetry] frame ingestion, including a final drain
+    of each pipe after Shutdown so the workers' last flushes land before
+    the fds close.  The coordinator also emits each worker's lifecycle
+    lines on the plane's event sink — [worker_start] (pid) at spawn,
+    [config] when the Config frame is written, [assign] (epoch, plan
+    count) per shard and [shutdown] (outcome count) — labelled with
+    [wslot]/[winc] like the rest of the slot's data.  Telemetry is observation-only
     and never feeds the campaign fold, so output stays byte-identical
     to [--jobs 1] with or without it.  [budget_limits] is the
     raw [(max_slots, max_wall_s)] pair behind [resilience.rz_budget]

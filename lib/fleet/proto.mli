@@ -26,40 +26,31 @@ val header_len : int
 val max_payload : int
 
 type msg =
-  | Hello of { h_worker : int; h_pid : int; h_clock_us : int }
-      (** first frame a worker sends: its slot, OS pid and its wall
-          clock in microseconds at send time — the coordinator aligns
-          the worker's trace timestamps onto its own axis from the
-          offset observed here *)
+  | Hello of { h_clock_us : int }
+      (** first frame a worker sends: its wall clock in microseconds at
+          send time — the coordinator aligns the worker's trace
+          timestamps onto its own axis from the offset observed here.
+          The slot and pid are known from the spawn. *)
   | Config of { c_payload : string }
       (** coordinator → worker: {!Wire.spec_to_string} of the campaign
           spec; sent once per worker lifetime, before any assignment *)
   | Assign of { a_epoch : int; a_payload : string }
       (** coordinator → worker: {!Wire.plans_to_string} of a shard of
           one batch's plans *)
-  | Heartbeat of { b_worker : int; b_done : int }
-      (** worker → coordinator, periodic: total outcomes produced *)
   | Outcome of { o_worker : int; o_epoch : int; o_iteration : int;
                  o_payload : string }
       (** worker → coordinator: {!Wire.outcome_to_string} of one
           executed plan — the corpus-delta stream the fold consumes *)
-  | Finding of { f_worker : int; f_iteration : int; f_classes : int }
-      (** worker → coordinator: advisory live-finding signal for the
-          fleet board; the authoritative dedup happens in the fold *)
-  | Checkpoint of { k_iteration : int }
-      (** coordinator → workers: a checkpoint at this cursor was durably
-          written *)
-  | Checkpoint_ack of { k_worker : int; k_iteration : int }
-      (** worker → coordinator: acknowledges the checkpoint cursor *)
-  | Shutdown  (** coordinator → worker: drain and exit cleanly *)
-  | Telemetry of { t_worker : int; t_incarnation : int; t_payload : string }
+  | Telemetry of { t_incarnation : int; t_payload : string }
       (** worker → coordinator, on the heartbeat cadence and at
           shutdown: {!Wire.telemetry_to_string} of the worker's
-          cumulative metrics snapshot, profiler aggregates, trace-event
-          delta and buffered event lines.  [t_incarnation] is the spawn
-          generation the coordinator launched this worker under; frames
-          from a stale incarnation (a respawned slot's predecessor) are
-          ignored at ingest. *)
+          cumulative metrics snapshot, profiler aggregates and
+          trace-event delta.  Doubles as the heartbeat: any frame proves
+          the worker alive.  [t_incarnation] is the spawn generation the
+          coordinator launched this worker under; frames from a stale
+          incarnation (a respawned slot's predecessor) are ignored at
+          ingest. *)
+  | Shutdown  (** coordinator → worker: flush telemetry and exit cleanly *)
 
 val kind_name : msg -> string
 

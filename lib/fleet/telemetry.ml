@@ -5,7 +5,11 @@
    worker-labelled metrics groups for /metrics and the JSON exporter,
    merged profiles for --profile, clock-aligned trace events for the
    merged Chrome trace, per-slot health (heartbeat-interval histogram,
-   restart timeline, last-seen, iterations) for /fleet and /status.
+   batch/stale counters, restart timeline) for /fleet.  It holds only
+   what arrives in those frames: pid, liveness and outcome counts belong
+   to the coordinator's worker record.  The coordinator also emits each
+   worker's lifecycle lines through {!event}, labelled like the rest of
+   the slot's data.
 
    Incarnations make respawns safe: each slot's spawn generation is
    stamped into every frame its worker sends, and a frame whose
@@ -36,11 +40,8 @@ type slot_state = {
   ss_batches : Metrics.counter;
   ss_stale : Metrics.counter;
   mutable ss_incarnation : int;
-  mutable ss_pid : int;
   mutable ss_clock_offset_s : float;  (* coordinator now - worker clock *)
-  mutable ss_last_seen : float;       (* coordinator clock, any frame *)
-  mutable ss_hb_last : float;         (* arrival of the last heartbeat *)
-  mutable ss_done : int;              (* iterations per last heartbeat *)
+  mutable ss_hb_last : float;         (* arrival of the last flush *)
   mutable ss_current : Wire.telemetry_batch option;  (* this incarnation *)
   mutable ss_retired_metrics : Metrics.snapshot;  (* Σ dead incarnations *)
   mutable ss_retired_profile : Profile.entry list;
@@ -97,11 +98,8 @@ let slot_state t slot =
                  incarnation"
               "dvz_fleet_telemetry_stale_total";
           ss_incarnation = 0;
-          ss_pid = 0;
           ss_clock_offset_s = 0.0;
-          ss_last_seen = Clock.now t.p_clock;
           ss_hb_last = nan;
-          ss_done = 0;
           ss_current = None;
           ss_retired_metrics = Metrics.empty_snapshot;
           ss_retired_profile = [];
@@ -113,29 +111,24 @@ let slot_state t slot =
       Hashtbl.replace t.p_slots slot ss;
       ss
 
-let seen t ~slot =
-  locked t (fun () ->
-      (slot_state t slot).ss_last_seen <- Clock.now t.p_clock)
-
-let hello t ~slot ~incarnation ~pid ~clock_us =
+let hello t ~slot ~incarnation ~clock_us =
   locked t (fun () ->
       let ss = slot_state t slot in
-      let now = Clock.now t.p_clock in
       ss.ss_incarnation <- incarnation;
-      ss.ss_pid <- pid;
-      ss.ss_clock_offset_s <- now -. (float_of_int clock_us /. 1e6);
-      ss.ss_last_seen <- now;
+      ss.ss_clock_offset_s <-
+        Clock.now t.p_clock -. (float_of_int clock_us /. 1e6);
       ss.ss_hb_last <- nan)
 
-let heartbeat t ~slot ~done_count =
-  locked t (fun () ->
-      let ss = slot_state t slot in
-      let now = Clock.now t.p_clock in
-      if not (Float.is_nan ss.ss_hb_last) then
-        Metrics.observe ss.ss_hb_interval (now -. ss.ss_hb_last);
-      ss.ss_hb_last <- now;
-      ss.ss_last_seen <- now;
-      ss.ss_done <- done_count)
+(* Lifecycle lines carry the same [wslot]/[winc] labels as the rest of
+   the slot's data, and the ["type"] key campaign events use, so
+   /events?kind= filters both uniformly.  Ring sinks have their own
+   lock; the plane's is not needed. *)
+let event t ~slot ~incarnation kind fields =
+  if not (Events.is_null t.p_events) then
+    Events.emit
+      (Events.with_context t.p_events
+         [ ("wslot", Json.Int slot); ("winc", Json.Int incarnation) ])
+      (("type", Json.Str kind) :: fields)
 
 (* The slot's worker died: its current incarnation will never flush
    again, so fold its final cumulative batch into the retired sums and
@@ -159,47 +152,39 @@ let record_restart t ~slot ~reason =
         (Clock.now t.p_clock -. t.p_started, reason) :: ss.ss_restarts)
 
 let ingest t ~slot ~incarnation (batch : Wire.telemetry_batch) =
-  let replay =
-    locked t (fun () ->
-        let ss = slot_state t slot in
+  locked t (fun () ->
+      let ss = slot_state t slot in
+      if incarnation <> ss.ss_incarnation then begin
+        Metrics.incr ss.ss_stale;
+        t.p_stale_total <- t.p_stale_total + 1;
+        false
+      end
+      else begin
+        (* Flushes ride the heartbeat cadence: their spacing is the
+           slot's heartbeat interval. *)
         let now = Clock.now t.p_clock in
-        ss.ss_last_seen <- now;
-        if incarnation <> ss.ss_incarnation then begin
-          Metrics.incr ss.ss_stale;
-          t.p_stale_total <- t.p_stale_total + 1;
-          None
-        end
-        else begin
-          Metrics.incr ss.ss_batches;
-          ss.ss_current <- Some batch;
-          (* Trace deltas append, shifted onto the coordinator's clock
-             and capped per slot. *)
-          List.iter
-            (fun ev ->
-              if ss.ss_trace_len >= t.p_trace_cap then
-                ss.ss_trace_dropped <- ss.ss_trace_dropped + 1
-              else begin
-                ss.ss_trace <-
-                  { ev with
-                    Profile.ev_start =
-                      ev.Profile.ev_start +. ss.ss_clock_offset_s }
-                  :: ss.ss_trace;
-                ss.ss_trace_len <- ss.ss_trace_len + 1
-              end)
-            batch.Wire.tb_trace;
-          Some
-            (Events.with_context t.p_events
-               [ ("wslot", Json.Int slot); ("winc", Json.Int incarnation) ])
-        end)
-  in
-  (* Event lines replay outside the plane lock: ring sinks have their
-     own, and a slow sink must not stall frame handling for other
-     slots' state readers. *)
-  match replay with
-  | None -> false
-  | Some sink ->
-      List.iter (Events.emit_rendered sink) batch.Wire.tb_events;
-      true
+        if not (Float.is_nan ss.ss_hb_last) then
+          Metrics.observe ss.ss_hb_interval (now -. ss.ss_hb_last);
+        ss.ss_hb_last <- now;
+        Metrics.incr ss.ss_batches;
+        ss.ss_current <- Some batch;
+        (* Trace deltas append, shifted onto the coordinator's clock and
+           capped per slot. *)
+        List.iter
+          (fun ev ->
+            if ss.ss_trace_len >= t.p_trace_cap then
+              ss.ss_trace_dropped <- ss.ss_trace_dropped + 1
+            else begin
+              ss.ss_trace <-
+                { ev with
+                  Profile.ev_start =
+                    ev.Profile.ev_start +. ss.ss_clock_offset_s }
+                :: ss.ss_trace;
+              ss.ss_trace_len <- ss.ss_trace_len + 1
+            end)
+          batch.Wire.tb_trace;
+        true
+      end)
 
 let stale_frames t = locked t (fun () -> t.p_stale_total)
 
@@ -253,18 +238,13 @@ let trace_groups t =
                   ss.ss_trace ))
         (sorted_slots t))
 
-let slot_json t ss =
-  let now = Clock.now t.p_clock in
+let slot_json ss =
   let hb = Metrics.histogram_count ss.ss_hb_interval in
   let hb_mean =
     if hb = 0 then 0.0 else Metrics.histogram_sum ss.ss_hb_interval /. float_of_int hb
   in
   Json.Obj
     [ ("slot", Json.Int ss.ss_slot);
-      ("incarnation", Json.Int ss.ss_incarnation);
-      ("pid", Json.Int ss.ss_pid);
-      ("iterations", Json.Int ss.ss_done);
-      ("last_seen_s", Json.Float (now -. ss.ss_last_seen));
       ("heartbeats", Json.Int hb);
       ("heartbeat_mean_s", Json.Float hb_mean);
       ( "telemetry_batches",
@@ -289,4 +269,4 @@ let health_json t =
   locked t (fun () ->
       Json.Obj
         [ ("stale_frames", Json.Int t.p_stale_total);
-          ("workers", Json.Arr (List.map (slot_json t) (sorted_slots t))) ])
+          ("workers", Json.Arr (List.map slot_json (sorted_slots t))) ])

@@ -5,7 +5,10 @@
     and incarnation, and observers read the merged views: one
     [worker="N"] Prometheus label group per slot, merged
     coordinator+worker profiles, clock-aligned trace groups for the
-    merged Chrome trace, and per-slot health for [/fleet].
+    merged Chrome trace, and per-slot health for [/fleet].  It owns only
+    what arrives in [Telemetry] frames (plus the Hello clock offset and
+    the restart timeline); a worker's pid, state and outcome count live
+    in the coordinator's board.
 
     Frames stamped with an incarnation other than the slot's current
     one (a SIGKILLed predecessor's last flush still in the pipe) are
@@ -27,23 +30,22 @@ val create :
   ?trace_cap:int ->
   unit ->
   t
-(** [events] (default null) receives each worker event line with
-    [wslot]/[winc] context spliced in — wire it to the [/events] ring.
+(** [events] (default null) receives the coordinator's worker lifecycle
+    lines (see {!event}) — wire it to the [/events] ring.
     [trace_cap] (default 262144) bounds retained trace events per slot;
     overflow is counted, not grown. *)
 
-val hello : t -> slot:int -> incarnation:int -> pid:int -> clock_us:int -> unit
-(** A worker announced itself: record its generation, pid, and the
-    clock offset (coordinator now minus the worker's [clock_us]) used
-    to shift its trace events onto the coordinator's time axis. *)
+val hello : t -> slot:int -> incarnation:int -> clock_us:int -> unit
+(** A worker announced itself: record its generation and the clock
+    offset (coordinator now minus the worker's [clock_us]) used to shift
+    its trace events onto the coordinator's time axis. *)
 
-val heartbeat : t -> slot:int -> done_count:int -> unit
-(** Records the heartbeat arrival: inter-arrival interval into the
-    slot's [dvz_fleet_heartbeat_interval_seconds] histogram, last-seen,
-    and the worker's cumulative iteration count. *)
-
-val seen : t -> slot:int -> unit
-(** Bumps the slot's last-seen timestamp (called on any frame). *)
+val event :
+  t -> slot:int -> incarnation:int -> string -> (string * Dvz_obs.Json.t) list
+  -> unit
+(** [event t ~slot ~incarnation kind fields] emits one lifecycle line
+    [{"type": kind, fields..., "wslot": slot, "winc": incarnation}] to
+    the [events] sink. *)
 
 val record_restart : t -> slot:int -> reason:string -> unit
 (** The slot's worker died: fold its current incarnation's final batch
@@ -53,9 +55,10 @@ val record_restart : t -> slot:int -> reason:string -> unit
 
 val ingest : t -> slot:int -> incarnation:int -> Wire.telemetry_batch -> bool
 (** Ingest one flush.  Returns [false] (and counts it) when the frame's
-    incarnation is stale; otherwise stores the batch last-wins, appends
-    its clock-shifted trace delta, replays its event lines into the
-    [events] sink, and returns [true]. *)
+    incarnation is stale; otherwise records the time since the previous
+    flush in the slot's [dvz_fleet_heartbeat_interval_seconds]
+    histogram, stores the batch last-wins, appends its clock-shifted
+    trace delta, and returns [true]. *)
 
 val stale_frames : t -> int
 
@@ -77,6 +80,6 @@ val trace_groups : t -> (int * string * Dvz_obs.Profile.event list) list
     start-sorted.  Slots with no trace are omitted. *)
 
 val health_json : t -> Dvz_obs.Json.t
-(** [{"stale_frames": ..., "workers": [...]}] — per-slot incarnation,
-    pid, iterations, last-seen, heartbeat stats, batch/stale counts,
-    trace totals and the restart timeline, for [/fleet]. *)
+(** [{"stale_frames": ..., "workers": [...]}] — per-slot heartbeat
+    stats, batch/stale counts, trace totals and the restart timeline,
+    for [/fleet]. *)

@@ -75,18 +75,15 @@ let outcome_of_string s : (Executor.outcome, string) result =
 (* One telemetry flush.  Metrics and profile aggregates are CUMULATIVE
    since the worker process started — the coordinator keeps only the
    latest batch per (slot, incarnation), so a lost flush costs staleness
-   for one heartbeat, never double counting.  Trace events and event
-   lines are DELTAS (a cursor-suffix read / a drained queue): the
-   coordinator appends them, and a flush lost with its process loses
-   only that window's events. *)
+   for one heartbeat, never double counting.  Trace events are a DELTA
+   (a cursor-suffix read): the coordinator appends them, and a flush
+   lost with its process loses only that window's events. *)
 type telemetry_batch = {
   tb_seq : int;
   tb_metrics : Dvz_obs.Metrics.snapshot;
   tb_profile : Dvz_obs.Profile.entry list;
   tb_trace : Dvz_obs.Profile.event list;
   tb_trace_dropped : int;
-  tb_events : string list;
-  tb_events_dropped : int;
 }
 
 let telemetry_to_string (b : telemetry_batch) = pack "telemetry" b

@@ -43,18 +43,16 @@ val outcome_of_string : string -> (Dejavuzz.Executor.outcome, string) result
 (** One telemetry flush, shipped inside a {!Proto.msg.Telemetry} frame.
     [tb_metrics] and [tb_profile] are cumulative since process start
     (ingest keeps the latest batch per incarnation — last-wins, so a
-    lost flush never double counts); [tb_trace] and [tb_events] are
-    deltas since the previous flush (ingest appends).  [tb_seq] counts
-    flushes; the [_dropped] fields report worker-side overflow of the
-    bounded trace buffer / event queue. *)
+    lost flush never double counts); [tb_trace] is the delta since the
+    previous flush (ingest appends).  [tb_seq] counts flushes;
+    [tb_trace_dropped] reports worker-side overflow of the bounded trace
+    buffer. *)
 type telemetry_batch = {
   tb_seq : int;
   tb_metrics : Dvz_obs.Metrics.snapshot;
   tb_profile : Dvz_obs.Profile.entry list;
   tb_trace : Dvz_obs.Profile.event list;
   tb_trace_dropped : int;
-  tb_events : string list;
-  tb_events_dropped : int;
 }
 
 val telemetry_to_string : telemetry_batch -> string

@@ -3,26 +3,23 @@
    Protocol from the worker's seat: say [Hello], receive one [Config]
    (build the executor context, start the heartbeat thread), then loop —
    each [Assign] is a shard of plans to execute, each plan producing one
-   [Outcome] frame (plus an advisory [Finding] frame when the oracle
-   reports leaks); [Checkpoint] is acknowledged, [Shutdown] or pipe EOF
-   ends the loop.  The worker holds no campaign state whatsoever: every
-   plan carries its own pre-split RNG and all corpus/coverage/finding
-   folding happens in the coordinator, which is why killing a worker at
-   any instant loses nothing but wall-clock time.
+   [Outcome] frame; [Shutdown] or pipe EOF ends the loop.  The worker
+   holds no campaign state whatsoever: every plan carries its own
+   pre-split RNG and all corpus/coverage/finding folding happens in the
+   coordinator, which is why killing a worker at any instant loses
+   nothing but wall-clock time.
 
-   Telemetry rides the same pipe: on each heartbeat tick, and once more
-   at shutdown, the worker flushes a [Telemetry] frame — its cumulative
-   metrics snapshot and profiler aggregates, plus the trace-event and
-   event-line deltas since the last flush.  Telemetry is observation
-   only; nothing the coordinator folds into campaign results ever comes
-   from it. *)
+   Telemetry rides the same pipe and doubles as the heartbeat: on each
+   heartbeat tick, and once more at shutdown, the worker flushes a
+   [Telemetry] frame — its cumulative metrics snapshot and profiler
+   aggregates, plus the trace-event delta since the last flush.
+   Telemetry is observation only; nothing the coordinator folds into
+   campaign results ever comes from it.  Lifecycle event lines are the
+   coordinator's to emit: it already knows every fact in them. *)
 
 module Executor = Dejavuzz.Executor
-module Oracle = Dejavuzz.Oracle
 module Metrics = Dvz_obs.Metrics
 module Profile = Dvz_obs.Profile
-module Events = Dvz_obs.Events
-module Json = Dvz_obs.Json
 
 exception Hangup
 (** The coordinator went away (EOF or EPIPE) — exit quietly. *)
@@ -36,8 +33,6 @@ type t = {
   k_reader : Proto.reader;
   k_write_mutex : Mutex.t;  (* heartbeat thread vs main loop *)
   k_flush_mutex : Mutex.t;  (* telemetry flush: heartbeat vs shutdown *)
-  k_done : int Atomic.t;
-  k_events : Events.sink;  (* bounded queue drained into each flush *)
   mutable k_seq : int;          (* flushes sent; under k_flush_mutex *)
   mutable k_trace_cursor : int; (* trace delta cursor; under k_flush_mutex *)
   mutable k_ctx : (Wire.spec * Executor.ctx) option;
@@ -66,38 +61,29 @@ let send t msg =
     ~finally:(fun () -> Mutex.unlock t.k_write_mutex)
     (fun () -> write_all t.k_out frame)
 
-(* Same ["type"] kind key campaign events use, so /events?kind= filters
-   both uniformly once these lines replay into the coordinator's ring. *)
-let emit_event t name fields =
-  Events.emit t.k_events (("type", Json.Str name) :: fields)
-
 (* Everything observers see from this process, in one frame.  Metrics
    and profile aggregates are cumulative (the coordinator keeps the
-   latest batch), trace events and event lines are deltas read under
-   the flush mutex so concurrent heartbeat/shutdown flushes never ship
-   the same window twice. *)
+   latest batch), trace events are a delta read under the flush mutex
+   so concurrent heartbeat/shutdown flushes never ship the same window
+   twice. *)
 let flush_telemetry t =
   Mutex.lock t.k_flush_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.k_flush_mutex)
     (fun () ->
       let trace, cursor = Profile.events_from t.k_trace_cursor in
-      let lines, dropped = Events.drain t.k_events in
       let batch =
         { Wire.tb_seq = t.k_seq;
           tb_metrics = Metrics.snapshot Metrics.default;
           tb_profile = Profile.snapshot ();
           tb_trace = trace;
-          tb_trace_dropped = Profile.events_dropped ();
-          tb_events = lines;
-          tb_events_dropped = dropped }
+          tb_trace_dropped = Profile.events_dropped () }
       in
       t.k_seq <- t.k_seq + 1;
       t.k_trace_cursor <- cursor;
       send t
         (Proto.Telemetry
-           { t_worker = t.k_slot;
-             t_incarnation = t.k_incarnation;
+           { t_incarnation = t.k_incarnation;
              t_payload = Wire.telemetry_to_string batch }))
 
 let start_heartbeat t (spec : Wire.spec) =
@@ -112,9 +98,6 @@ let start_heartbeat t (spec : Wire.spec) =
              try
                while true do
                  Unix.sleepf spec.Wire.w_heartbeat_s;
-                 send t
-                   (Proto.Heartbeat
-                      { b_worker = t.k_slot; b_done = Atomic.get t.k_done });
                  flush_telemetry t
                done
              with _ -> ())
@@ -142,21 +125,12 @@ let build_ctx (spec : Wire.spec) =
             (Printf.sprintf "dvz_campaign_iterations_domain_%d" i)) }
 
 let send_outcome t ~epoch (o : Executor.outcome) =
-  Atomic.incr t.k_done;
   send t
     (Proto.Outcome
        { o_worker = t.k_slot;
          o_epoch = epoch;
          o_iteration = o.Executor.oc_iteration;
-         o_payload = Wire.outcome_to_string o });
-  match o.Executor.oc_analysis with
-  | Some a when a.Oracle.a_leaks <> [] ->
-      send t
-        (Proto.Finding
-           { f_worker = t.k_slot;
-             f_iteration = o.Executor.oc_iteration;
-             f_classes = List.length a.Oracle.a_leaks })
-  | _ -> ()
+         o_payload = Wire.outcome_to_string o })
 
 let handle_assign t ~epoch payload =
   match t.k_ctx with
@@ -165,9 +139,6 @@ let handle_assign t ~epoch payload =
       match Wire.plans_of_string payload with
       | Error e -> failwith ("fleet worker: " ^ e)
       | Ok plans ->
-          emit_event t "assign"
-            [ ("epoch", Json.Int epoch);
-              ("plans", Json.Int (List.length plans)) ];
           let jobs =
             Dvz_util.Parallel.effective_lanes (max 1 spec.Wire.w_jobs)
           in
@@ -196,24 +167,10 @@ let handle t msg =
           t.k_ctx <- Some (spec, build_ctx spec);
           if spec.Wire.w_profile || spec.Wire.w_trace then
             Profile.arm ~trace:spec.Wire.w_trace ();
-          emit_event t "config"
-            [ ("jobs", Json.Int spec.Wire.w_jobs);
-              ("profile", Json.Bool spec.Wire.w_profile);
-              ("trace", Json.Bool spec.Wire.w_trace) ];
           start_heartbeat t spec)
   | Proto.Assign { a_epoch; a_payload } ->
       handle_assign t ~epoch:a_epoch a_payload
-  | Proto.Checkpoint { k_iteration } ->
-      send t
-        (Proto.Checkpoint_ack { k_worker = t.k_slot; k_iteration })
-  | Proto.Shutdown ->
-      (* The final flush: whatever accumulated since the last heartbeat
-         still reaches the coordinator before the pipe closes. *)
-      emit_event t "shutdown" [ ("done", Json.Int (Atomic.get t.k_done)) ];
-      (try flush_telemetry t with Hangup -> ());
-      raise Hangup
-  | Proto.Hello _ | Proto.Heartbeat _ | Proto.Outcome _ | Proto.Finding _
-  | Proto.Checkpoint_ack _ | Proto.Telemetry _ ->
+  | Proto.Hello _ | Proto.Outcome _ | Proto.Telemetry _ | Proto.Shutdown ->
       failwith
         (Printf.sprintf "fleet worker: unexpected %s frame from coordinator"
            (Proto.kind_name msg))
@@ -236,21 +193,22 @@ let main ?(log = ignore) ?(incarnation = 0) ~slot ~in_fd ~out_fd () =
       k_reader = Proto.reader ();
       k_write_mutex = Mutex.create ();
       k_flush_mutex = Mutex.create ();
-      k_done = Atomic.make 0;
-      k_events = Events.batch ();
       k_seq = 0;
       k_trace_cursor = 0;
       k_ctx = None;
       k_heartbeat = None }
   in
-  emit_event t "worker_start"
-    [ ("pid", Json.Int (Unix.getpid ())) ];
   let buf = Bytes.create 65536 in
   let rec loop () =
     match Proto.next t.k_reader with
     | Error e ->
         (* A corrupt stream from the coordinator: nothing to salvage. *)
         failwith ("fleet worker: " ^ Proto.error_message e)
+    | Ok (Some Proto.Shutdown) ->
+        (* The final flush: whatever accumulated since the last heartbeat
+           still reaches the coordinator before the pipe closes.  A
+           coordinator that stops reading after Shutdown is no news. *)
+        (try flush_telemetry t with Hangup -> ())
     | Ok (Some msg) ->
         handle t msg;
         loop ()
@@ -268,10 +226,7 @@ let main ?(log = ignore) ?(incarnation = 0) ~slot ~in_fd ~out_fd () =
   match
     send t
       (Proto.Hello
-         { h_worker = slot;
-           h_pid = Unix.getpid ();
-           h_clock_us =
-             int_of_float (Unix.gettimeofday () *. 1e6) });
+         { h_clock_us = int_of_float (Unix.gettimeofday () *. 1e6) });
     loop ()
   with
   | () -> ()

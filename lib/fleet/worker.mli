@@ -3,10 +3,10 @@
     Speaks {!Proto} on a pair of file descriptors: announces itself with
     [Hello], builds its executor context from the one [Config] frame,
     then executes each [Assign]ed shard of plans, streaming one
-    [Outcome] frame per plan (in plan order) plus advisory [Finding]
-    frames, while a background thread emits periodic [Heartbeat]s — each
-    followed by a [Telemetry] flush (metrics snapshot, profiler
-    aggregates, trace/event deltas), with one final flush on [Shutdown].
+    [Outcome] frame per plan (in plan order), while a background thread
+    sends a periodic [Telemetry] frame (metrics snapshot, profiler
+    aggregates, trace delta) that doubles as the heartbeat, with one
+    final flush on [Shutdown].
     All campaign state — corpus, coverage, dedup, checkpoints — lives in
     the coordinator, so a worker killed at any instant costs only the
     re-execution of its outstanding plans, never a result. *)
@@ -20,7 +20,8 @@ val main :
   unit ->
   unit
 (** Runs the worker loop until [Shutdown] or EOF/EPIPE from the
-    coordinator (both return normally).  [incarnation] (default 0) is
+    coordinator (both return normally; only EOF/EPIPE is reported to
+    [log], as the coordinator hanging up without a [Shutdown]).  [incarnation] (default 0) is
     the spawn generation the coordinator launched this process under; it
     is echoed in every [Telemetry] frame so a respawned slot's stale
     predecessor cannot pollute the aggregates.  Resets the process-wide

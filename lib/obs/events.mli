@@ -20,12 +20,6 @@ val ring : ?cap:int -> unit -> sink
     emitted lines, for serving [/events?n=K] tails without touching the
     on-disk log. *)
 
-val batch : ?cap:int -> unit -> sink
-(** A bounded FIFO of at most [cap] (default 512) emitted lines between
-    {!drain} calls; further emissions are dropped and counted rather
-    than unbounded.  The fleet worker buffers its lifecycle events here
-    and ships them with each telemetry flush. *)
-
 val tee : sink -> sink -> sink
 (** Fans every emitted line out to both sinks.  The line is rendered
     once with the tee's own context; each leaf appends under its own
@@ -45,22 +39,9 @@ val emit : sink -> (string * Json.t) list -> unit
 (** Writes the fields (followed by the sink's context fields) as one
     compact JSON object terminated by a newline.  Atomic per line. *)
 
-val emit_rendered : sink -> string -> unit
-(** Writes an already-rendered JSON object line, splicing this sink's
-    context fields into the object — how the coordinator replays a
-    worker's batched event lines into the [/events] ring with a
-    worker-slot label on each.  A line that is not [{...}]-shaped is
-    wrapped as [{"line": ..., <context>}] instead of guessed at. *)
-
 val recent : sink -> int -> string list
 (** The last [n] lines held by a {!ring} sink, oldest first (fewer if
     the ring has seen fewer).  On a {!tee}, the first branch holding
     lines wins; [[]] for other sinks. *)
-
-val drain : sink -> string list * int
-(** Takes everything a {!batch} sink holds — the buffered lines (oldest
-    first) and the count of lines dropped since the previous drain —
-    and empties it.  On a {!tee}, both branches are drained and their
-    results concatenated; [([], 0)] for other sinks. *)
 
 val flush : sink -> unit

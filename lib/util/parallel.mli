@@ -10,30 +10,14 @@
     never deadlock), and the first failure — by task index — is re-raised
     in the caller with the original exception and backtrace. *)
 
-type retry
-(** A bounded retry-with-backoff policy for transient task failures. *)
-
 val backoff : ?base:float -> ?factor:float -> ?cap:float -> int -> float
 (** [backoff k] is the delay (seconds) before attempt [k + 1]: a capped
     exponential [min cap (base *. factor ** (k - 1))] with [base = 0.05],
-    [factor = 2.0] and [cap = 30.0] by default.  The shared schedule
-    behind {!retry}'s default and the fleet coordinator's worker
-    respawns.  Raises [Invalid_argument] when [k < 1]. *)
+    [factor = 2.0] and [cap = 30.0] by default.  The fleet
+    coordinator's worker respawns draw from it.  Raises
+    [Invalid_argument] when [k < 1]. *)
 
-val retry :
-  ?max_attempts:int ->
-  ?backoff_s:(int -> float) ->
-  ?transient:(exn -> bool) ->
-  unit ->
-  retry
-(** [retry ()] allows [max_attempts] (default 3) attempts per task,
-    sleeping [backoff_s k] seconds after the [k]th failed attempt
-    (default [backoff ~base:0.05 ~cap:1.0]; return [0.] to disable
-    sleeping).  Only exceptions satisfying [transient] (default: all) are
-    retried — others propagate immediately.  Each retried attempt
-    increments the [dvz_parallel_retries_total] counter. *)
-
-val map : ?domains:int -> ?retry:retry -> ('a -> 'b) -> 'a list -> 'b list
+val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] evaluates [f] on every element across [domains] {e total}
     lanes — the caller's domain plus [domains - 1] spawned ones — so
     [~domains:4] executes on exactly 4 lanes.  [domains] defaults to
@@ -44,7 +28,7 @@ val map : ?domains:int -> ?retry:retry -> ('a -> 'b) -> 'a list -> 'b list
     the claim counter isn't a contention point.  Results preserve order.
     Falls back to sequential evaluation when the effective lane count is
     1, when [domains < 1], or when the list is a singleton.  If any task
-    ultimately fails, the failure with the lowest task index is re-raised
+    fails, the failure with the lowest task index is re-raised
     in the caller, preserving its constructor, argument and backtrace. *)
 
 val worker_index : unit -> int

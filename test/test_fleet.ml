@@ -37,15 +37,10 @@ let arb_msg =
   let blob = string_of_size (Gen.int_bound 512) in
   let g =
     Gen.oneof
-      [ Gen.map3
-          (fun w p c ->
-            Proto.Hello { h_worker = w; h_pid = p; h_clock_us = c })
-          (gen nat) (gen nat) (gen nat);
+      [ Gen.map (fun c -> Proto.Hello { h_clock_us = c }) (gen nat);
         Gen.map (fun s -> Proto.Config { c_payload = s }) (gen blob);
         Gen.map2 (fun e s -> Proto.Assign { a_epoch = e; a_payload = s })
           (gen nat) (gen blob);
-        Gen.map2 (fun w d -> Proto.Heartbeat { b_worker = w; b_done = d })
-          (gen nat) (gen nat);
         Gen.map3
           (fun w (e, i) s ->
             Proto.Outcome
@@ -53,18 +48,9 @@ let arb_msg =
           (gen nat)
           (Gen.pair (gen nat) (gen nat))
           (gen blob);
-        Gen.map3
-          (fun w i c ->
-            Proto.Finding { f_worker = w; f_iteration = i; f_classes = c })
-          (gen nat) (gen nat) (gen nat);
-        Gen.map (fun i -> Proto.Checkpoint { k_iteration = i }) (gen nat);
         Gen.map2
-          (fun w i -> Proto.Checkpoint_ack { k_worker = w; k_iteration = i })
-          (gen nat) (gen nat);
-        Gen.map3
-          (fun w i s ->
-            Proto.Telemetry { t_worker = w; t_incarnation = i; t_payload = s })
-          (gen nat) (gen nat) (gen blob);
+          (fun i s -> Proto.Telemetry { t_incarnation = i; t_payload = s })
+          (gen nat) (gen blob);
         Gen.return Proto.Shutdown ]
   in
   QCheck.make ~print:Proto.kind_name g
@@ -74,16 +60,12 @@ let prop_roundtrip =
     (fun msg -> roundtrip msg = msg)
 
 let sample_msgs =
-  [ Proto.Hello { h_worker = 3; h_pid = 4242; h_clock_us = 1_700_000_000 };
+  [ Proto.Hello { h_clock_us = 1_700_000_000 };
     Proto.Config { c_payload = "spec-bytes \x00\xff" };
     Proto.Assign { a_epoch = 7; a_payload = String.make 100 'p' };
-    Proto.Heartbeat { b_worker = 1; b_done = 99 };
     Proto.Outcome
       { o_worker = 0; o_epoch = 2; o_iteration = 17; o_payload = "out" };
-    Proto.Finding { f_worker = 1; f_iteration = 30; f_classes = 2 };
-    Proto.Checkpoint { k_iteration = 16 };
-    Proto.Checkpoint_ack { k_worker = 0; k_iteration = 16 };
-    Proto.Telemetry { t_worker = 1; t_incarnation = 2; t_payload = "batch" };
+    Proto.Telemetry { t_incarnation = 2; t_payload = "batch" };
     Proto.Shutdown ]
 
 let drain r =
@@ -147,7 +129,7 @@ let test_crc_mismatch_rejected () =
   expect_error "flipped payload byte" Proto.Crc_mismatch r
 
 let test_bad_version_and_kind_rejected () =
-  let frame = Proto.encode (Proto.Heartbeat { b_worker = 0; b_done = 1 }) in
+  let frame = Proto.encode (Proto.Hello { h_clock_us = 1 }) in
   let r = Proto.reader () in
   Proto.feed_string r (patch_byte frame 4 (fun v -> v + 1));
   expect_error "future version" (Proto.Bad_version (Proto.version + 1)) r;
@@ -176,7 +158,7 @@ let test_oversized_rejected () =
 let test_trailing_payload_bytes_rejected () =
   (* A structurally valid frame whose payload has extra bytes after the
      last field is a framing bug, not data to ignore. *)
-  let frame = Proto.encode (Proto.Checkpoint { k_iteration = 5 }) in
+  let frame = Proto.encode (Proto.Hello { h_clock_us = 5 }) in
   let payload = String.sub frame Proto.header_len 8 ^ "extra" in
   let b = Bytes.make Proto.header_len '\000' in
   Bytes.blit_string "DVZF" 0 b 0 4;
@@ -187,13 +169,13 @@ let test_trailing_payload_bytes_rejected () =
     (Int32.of_int (Dvz_resilience.Snapshot.crc32 payload));
   let r = Proto.reader () in
   Proto.feed_string r (Bytes.to_string b ^ payload);
-  expect_error "trailing bytes" (Proto.Bad_payload "checkpoint") r
+  expect_error "trailing bytes" (Proto.Bad_payload "hello") r
 
 (* --- supervision --------------------------------------------------------- *)
 
 (* Launch a worker by forking: the child serves [Worker.main] over fresh
    pipes and exits without ever returning to the test harness. *)
-let fork_launch ~slot ~incarnation =
+let fork_launch ~log ~slot ~incarnation =
   let to_w_read, to_w_write = Unix.pipe ~cloexec:false () in
   let from_w_read, from_w_write = Unix.pipe ~cloexec:false () in
   match Unix.fork () with
@@ -201,8 +183,8 @@ let fork_launch ~slot ~incarnation =
       Unix.close to_w_write;
       Unix.close from_w_read;
       (match
-         Worker.main ~incarnation ~slot ~in_fd:to_w_read ~out_fd:from_w_write
-           ()
+         Worker.main ~log ~incarnation ~slot ~in_fd:to_w_read
+           ~out_fd:from_w_write ()
        with
       | () -> Unix._exit 0
       | exception _ -> Unix._exit 2)
@@ -219,7 +201,7 @@ let quiet_opts ~workers =
     fl_backoff_base_s = 0.05;
     fl_backoff_cap_s = 0.2;
     fl_log = ignore;
-    fl_launch = Some fork_launch }
+    fl_launch = Some (fork_launch ~log:ignore) }
 
 let options =
   { Campaign.default_options with
@@ -352,6 +334,30 @@ let test_fleet_checkpoint_bytes_match () =
       Alcotest.(check bool) "fleet rotated a .prev checkpoint" true
         (Sys.file_exists (Dvz_resilience.Snapshot.previous_path ck_b)))
 
+(* A normal run ends with Shutdown, which is not the coordinator hanging
+   up: no worker may log anything.  The forked workers append whatever
+   they log to a shared file the test reads once the run is over. *)
+let test_clean_shutdown_is_silent () =
+  let path = Filename.temp_file "dvz_worker_log" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let log line =
+        let oc =
+          open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
+        in
+        output_string oc (line ^ "\n");
+        close_out oc
+      in
+      let opts =
+        { (quiet_opts ~workers:2) with
+          Coordinator.fl_launch = Some (fork_launch ~log) }
+      in
+      let _, fstats, _ = fleet_events opts options in
+      Alcotest.(check int) "no restarts" 0 fstats.Coordinator.fs_restarts;
+      Alcotest.(check string) "workers logged nothing" ""
+        (In_channel.with_open_bin path In_channel.input_all))
+
 (* --- telemetry plane ----------------------------------------------------- *)
 
 let sample_batch ?(seq = 1) ?(counter = ("dvz_test_iters_total", "", 7)) () =
@@ -367,9 +373,7 @@ let sample_batch ?(seq = 1) ?(counter = ("dvz_test_iters_total", "", 7)) () =
           pf_self_s = 0.6;
           pf_max_s = 0.5 } ];
     tb_trace = [];
-    tb_trace_dropped = 0;
-    tb_events = [ {|{"event":"assign","epoch":1}|} ];
-    tb_events_dropped = 0 }
+    tb_trace_dropped = 0 }
 
 let counter_value snap name =
   match
@@ -391,8 +395,7 @@ let test_partial_flush_rejected () =
   let frame =
     Proto.encode
       (Proto.Telemetry
-         { t_worker = 0;
-           t_incarnation = 0;
+         { t_incarnation = 0;
            t_payload = Wire.telemetry_to_string (sample_batch ()) })
   in
   (* Every strict prefix is silently incomplete, not a partial decode. *)
@@ -420,7 +423,7 @@ let test_partial_flush_rejected () =
 let test_lost_flush_keeps_aggregates_consistent () =
   let clock = Dvz_obs.Clock.fake () in
   let plane = Telemetry.create ~clock () in
-  Telemetry.hello plane ~slot:0 ~incarnation:0 ~pid:100 ~clock_us:0;
+  Telemetry.hello plane ~slot:0 ~incarnation:0 ~clock_us:0;
   let b1 = sample_batch ~seq:1 ~counter:("dvz_test_iters_total", "", 7) () in
   Alcotest.(check bool) "first flush ingested" true
     (Telemetry.ingest plane ~slot:0 ~incarnation:0 b1);
@@ -431,7 +434,7 @@ let test_lost_flush_keeps_aggregates_consistent () =
   Alcotest.(check int) "retired aggregate keeps the last acked flush" 7
     (counter_value snap_after_death "dvz_test_iters_total");
   (* The respawned incarnation reports afresh; sums, no double count. *)
-  Telemetry.hello plane ~slot:0 ~incarnation:1 ~pid:101 ~clock_us:0;
+  Telemetry.hello plane ~slot:0 ~incarnation:1 ~clock_us:0;
   let b2 = sample_batch ~seq:1 ~counter:("dvz_test_iters_total", "", 5) () in
   Alcotest.(check bool) "successor flush ingested" true
     (Telemetry.ingest plane ~slot:0 ~incarnation:1 b2);
@@ -442,7 +445,7 @@ let test_lost_flush_keeps_aggregates_consistent () =
 let test_stale_incarnation_ignored () =
   let clock = Dvz_obs.Clock.fake () in
   let plane = Telemetry.create ~clock () in
-  Telemetry.hello plane ~slot:1 ~incarnation:0 ~pid:100 ~clock_us:0;
+  Telemetry.hello plane ~slot:1 ~incarnation:0 ~clock_us:0;
   Alcotest.(check bool) "current incarnation accepted" true
     (Telemetry.ingest plane ~slot:1 ~incarnation:0 (sample_batch ()));
   Telemetry.record_restart plane ~slot:1 ~reason:"chaos";
@@ -450,7 +453,7 @@ let test_stale_incarnation_ignored () =
   Alcotest.(check bool) "stale incarnation dropped" false
     (Telemetry.ingest plane ~slot:1 ~incarnation:0 (sample_batch ~seq:2 ()));
   Alcotest.(check int) "stale frame counted" 1 (Telemetry.stale_frames plane);
-  Telemetry.hello plane ~slot:1 ~incarnation:1 ~pid:101 ~clock_us:0;
+  Telemetry.hello plane ~slot:1 ~incarnation:1 ~clock_us:0;
   Alcotest.(check bool) "successor accepted" true
     (Telemetry.ingest plane ~slot:1 ~incarnation:1 (sample_batch ()));
   Alcotest.(check int) "no further stale frames" 1
@@ -486,6 +489,55 @@ let test_fleet_telemetry_end_to_end () =
   Alcotest.(check bool) "worker profiles merged" true
     (Telemetry.merged_profile plane <> [])
 
+(* The coordinator emits every worker's lifecycle lines on the plane's
+   event sink, slot-labelled, in spawn → config → assign → shutdown
+   order. *)
+let test_lifecycle_lines_from_coordinator () =
+  let ring = Dvz_obs.Events.ring () in
+  let plane = Telemetry.create ~events:ring () in
+  let _ = Coordinator.run ~plane (quiet_opts ~workers:2) boom options in
+  let lines =
+    List.map
+      (fun line ->
+        match Dvz_obs.Json.of_string line with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "lifecycle line %S: %s" line e)
+      (Dvz_obs.Events.recent ring 1024)
+  in
+  let field name j = Dvz_obs.Json.member name j in
+  List.iter
+    (fun slot ->
+      let kinds =
+        List.filter_map
+          (fun j ->
+            match (field "wslot" j, field "type" j) with
+            | Some (Dvz_obs.Json.Int s), Some (Dvz_obs.Json.Str k)
+              when s = slot ->
+                Some k
+            | _ -> None)
+          lines
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "slot %d lifecycle" slot)
+        ([ "worker_start"; "config" ]
+        @ List.filter (( = ) "assign") kinds
+        @ [ "shutdown" ])
+        kinds;
+      Alcotest.(check bool)
+        (Printf.sprintf "slot %d was assigned work" slot)
+        true
+        (List.mem "assign" kinds))
+    [ 0; 1 ];
+  List.iter
+    (fun j ->
+      match (field "type" j, field "pid" j) with
+      | Some (Dvz_obs.Json.Str "worker_start"), Some (Dvz_obs.Json.Int pid) ->
+          Alcotest.(check bool) "worker_start carries the pid" true (pid > 0)
+      | Some (Dvz_obs.Json.Str "worker_start"), _ ->
+          Alcotest.fail "worker_start without a pid"
+      | _ -> ())
+    lines
+
 let () =
   let qcheck = QCheck_alcotest.to_alcotest in
   Alcotest.run "dvz_fleet"
@@ -515,7 +567,9 @@ let () =
           Alcotest.test_case "zero workers runs inline" `Quick
             test_fleet_zero_workers_runs_inline;
           Alcotest.test_case "checkpoint bytes identical" `Quick
-            test_fleet_checkpoint_bytes_match ] );
+            test_fleet_checkpoint_bytes_match;
+          Alcotest.test_case "clean shutdown is silent" `Quick
+            test_clean_shutdown_is_silent ] );
       ( "telemetry",
         [ Alcotest.test_case "batch codec roundtrips" `Quick
             test_telemetry_batch_roundtrip;
@@ -526,4 +580,6 @@ let () =
           Alcotest.test_case "stale incarnation ignored" `Quick
             test_stale_incarnation_ignored;
           Alcotest.test_case "fleet run aggregates worker telemetry" `Quick
-            test_fleet_telemetry_end_to_end ] ) ]
+            test_fleet_telemetry_end_to_end;
+          Alcotest.test_case "lifecycle lines come from the coordinator"
+            `Quick test_lifecycle_lines_from_coordinator ] ) ]

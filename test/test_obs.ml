@@ -755,51 +755,6 @@ let test_ring_and_tee () =
   Alcotest.(check bool) "tee with one live branch is live" false
     (Events.is_null (Events.tee Events.null ring))
 
-(* --- events: batch sink (fleet worker flushes) ----------------------------- *)
-
-let test_events_batch_drain () =
-  let b = Events.batch ~cap:2 () in
-  Alcotest.(check bool) "batch is not null" false (Events.is_null b);
-  List.iter
-    (fun n -> Events.emit b [ ("type", Json.Str n) ])
-    [ "one"; "two"; "three" ];
-  let lines, dropped = Events.drain b in
-  Alcotest.(check (list string)) "cap kept, oldest first"
-    [ "{\"type\":\"one\"}"; "{\"type\":\"two\"}" ]
-    lines;
-  Alcotest.(check int) "overflow counted" 1 dropped;
-  Alcotest.(check (pair (list string) int)) "drain empties" ([], 0)
-    (Events.drain b);
-  Events.emit b [ ("type", Json.Str "four") ];
-  Alcotest.(check (pair (list string) int)) "refills, dropped reset"
-    ([ "{\"type\":\"four\"}" ], 0)
-    (Events.drain b);
-  Alcotest.(check (pair (list string) int)) "non-batch sinks drain empty"
-    ([], 0)
-    (Events.drain Events.null)
-
-let test_events_emit_rendered_context () =
-  let buf = Buffer.create 256 in
-  let sink =
-    Events.with_context (Events.to_buffer buf) [ ("wslot", Json.Int 3) ]
-  in
-  Events.emit_rendered sink {|{"type":"assign","epoch":1}|};
-  Events.emit_rendered sink "{}";
-  Events.emit_rendered sink "not json";
-  let lines = String.split_on_char '\n' (Buffer.contents buf) in
-  Alcotest.(check string) "context spliced into the object"
-    {|{"type":"assign","epoch":1,"wslot":3}|}
-    (List.nth lines 0);
-  Alcotest.(check string) "empty object gains context" {|{"wslot":3}|}
-    (List.nth lines 1);
-  match Json.of_string (List.nth lines 2) with
-  | Ok j ->
-      Alcotest.(check (option string)) "non-object wrapped" (Some "not json")
-        (Option.bind (Json.member "line" j) Json.to_str);
-      Alcotest.(check (option int)) "wrapped line keeps context" (Some 3)
-        (Option.bind (Json.member "wslot" j) Json.to_int)
-  | Error e -> Alcotest.failf "wrapped line not JSON: %s" e
-
 (* --- metrics: multi-domain safety ------------------------------------------ *)
 
 let test_metrics_domain_safety () =
@@ -1333,11 +1288,7 @@ let () =
         [ Alcotest.test_case "sinks and context" `Quick
             test_events_sink_and_context;
           Alcotest.test_case "ring tails and tee fan-out" `Quick
-            test_ring_and_tee;
-          Alcotest.test_case "batch sink drains with overflow count" `Quick
-            test_events_batch_drain;
-          Alcotest.test_case "rendered lines gain context" `Quick
-            test_events_emit_rendered_context ] );
+            test_ring_and_tee ] );
       ( "profile",
         [ QCheck_alcotest.to_alcotest prop_profile_self_time;
           Alcotest.test_case "aggregation counts and artifact" `Quick

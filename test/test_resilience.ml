@@ -264,8 +264,6 @@ let test_dualcore_arity_message () =
 (* --- supervised Parallel.map ---------------------------------------------- *)
 
 exception Boom of int
-exception Flaky
-exception Fatal
 
 let test_parallel_preserves_exception () =
   Alcotest.check_raises "original exception, lowest index" (Boom 3) (fun () ->
@@ -273,61 +271,6 @@ let test_parallel_preserves_exception () =
         (Parallel.map ~domains:4
            (fun x -> if x >= 3 then raise (Boom x) else x)
            [ 0; 1; 2; 3; 4; 5; 6; 7 ]))
-
-let test_parallel_retry_transient () =
-  let attempts = ref 0 in
-  let retry =
-    Parallel.retry ~max_attempts:5 ~backoff_s:(fun _ -> 0.0) ()
-  in
-  let r =
-    Parallel.map ~domains:1 ~retry
-      (fun x ->
-        incr attempts;
-        if !attempts < 3 then raise Flaky else x)
-      [ 42 ]
-  in
-  Alcotest.(check (list int)) "eventually succeeds" [ 42 ] r;
-  Alcotest.(check int) "three attempts" 3 !attempts
-
-let test_parallel_retry_exhaustion_and_fatal () =
-  let retry =
-    Parallel.retry ~max_attempts:3
-      ~backoff_s:(fun _ -> 0.0)
-      ~transient:(fun e -> e = Flaky)
-      ()
-  in
-  let attempts = ref 0 in
-  Alcotest.check_raises "exhausted retries re-raise" Flaky (fun () ->
-      ignore
-        (Parallel.map ~domains:1 ~retry
-           (fun _ ->
-             incr attempts;
-             raise Flaky)
-           [ () ]));
-  Alcotest.(check int) "max attempts" 3 !attempts;
-  attempts := 0;
-  Alcotest.check_raises "non-transient fails fast" Fatal (fun () ->
-      ignore
-        (Parallel.map ~domains:1 ~retry
-           (fun _ ->
-             incr attempts;
-             raise Fatal)
-           [ () ]));
-  Alcotest.(check int) "single attempt" 1 !attempts
-
-let test_parallel_retry_counter () =
-  let c = Metrics.counter Metrics.default "dvz_parallel_retries_total" in
-  let before = Metrics.counter_value c in
-  let attempts = ref 0 in
-  let retry = Parallel.retry ~max_attempts:2 ~backoff_s:(fun _ -> 0.0) () in
-  ignore
-    (Parallel.map ~domains:1 ~retry
-       (fun x ->
-         incr attempts;
-         if !attempts = 1 then raise Flaky else x)
-       [ 1 ]);
-  Alcotest.(check int) "one retry counted" (before + 1)
-    (Metrics.counter_value c)
 
 (* --- watchdog budgets ----------------------------------------------------- *)
 
@@ -770,11 +713,7 @@ let () =
             test_dualcore_arity_message ] );
       ( "parallel",
         [ Alcotest.test_case "exception propagation" `Quick
-            test_parallel_preserves_exception;
-          Alcotest.test_case "transient retry" `Quick test_parallel_retry_transient;
-          Alcotest.test_case "exhaustion and fatal" `Quick
-            test_parallel_retry_exhaustion_and_fatal;
-          Alcotest.test_case "retry counter" `Quick test_parallel_retry_counter ] );
+            test_parallel_preserves_exception ] );
       ( "watchdog",
         [ Alcotest.test_case "slot budget" `Quick test_watchdog_slot_budget;
           Alcotest.test_case "wall budget" `Quick test_watchdog_wall_budget;

@@ -244,31 +244,15 @@ let test_parallel_effective_lanes () =
   Alcotest.(check int) "available itself passes through" avail
     (Dvz_util.Parallel.effective_lanes avail)
 
-exception Transient_glitch
-
 (* map must agree with List.map in order and content for every domain
-   count, including when tasks fail transiently and are retried. *)
+   count. *)
 let prop_parallel_map_equals_list_map =
-  QCheck.Test.make ~name:"parallel map equals List.map (with retries)"
-    ~count:40
+  QCheck.Test.make ~name:"parallel map equals List.map" ~count:40
     QCheck.(pair (list_of_size (Gen.int_range 0 12) small_nat) (int_range 0 4))
     (fun (xs, domains) ->
-      let n = List.length xs in
-      let attempts = Array.init (max 1 n) (fun _ -> Atomic.make 0) in
-      let retry =
-        Dvz_util.Parallel.retry ~max_attempts:3 ~backoff_s:(fun _ -> 0.0) ()
-      in
       let indexed = List.mapi (fun i x -> (i, x)) xs in
-      let got =
-        Dvz_util.Parallel.map ~domains ~retry
-          (fun (i, x) ->
-            (* every third task throws once before succeeding *)
-            if i mod 3 = 0 && Atomic.fetch_and_add attempts.(i) 1 = 0 then
-              raise Transient_glitch;
-            (x * x) + i)
-          indexed
-      in
-      got = List.map (fun (i, x) -> (x * x) + i) indexed)
+      let f (i, x) = (x * x) + i in
+      Dvz_util.Parallel.map ~domains f indexed = List.map f indexed)
 
 let () =
   Alcotest.run "dvz_util"
