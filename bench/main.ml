@@ -178,10 +178,11 @@ module Simbench = struct
       [ ("table4/dualcore-diffift-e2e", Dvz_ift.Policy.Diffift);
         ("fig6/dualcore-cellift-e2e", Dvz_ift.Policy.Cellift) ]
 
-  (* Batched-campaign throughput: the same deterministic campaign run on 1
-     and 4 jobs.  Records the wall-clock scaling CI gates (only when the
-     machine actually has the cores — [domains_available] says so) plus a
-     determinism bit re-checking that jobs never change results. *)
+  (* Batched-campaign throughput: the same deterministic campaign run on 1,
+     2 and 4 jobs.  Records the wall-clock scalings CI gates (each only
+     when the machine actually has the cores — [domains_available] says
+     so) plus a determinism bit re-checking that jobs never change
+     results. *)
   let campaign_report () =
     let module C = Dejavuzz.Campaign in
     let boom = Cfg.boom_small in
@@ -189,20 +190,34 @@ module Simbench = struct
       { C.default_options with C.iterations = 64; rng_seed = 11; batch = 8 }
     in
     let run jobs () = ignore (C.run ~jobs boom options) in
-    let measure jobs =
-      run jobs ();
-      (* warmed; campaigns are long, so blocks of one run suffice *)
-      min_of_blocks ~blocks:3 ~per_block:1 (run jobs)
+    (* The legs take turns, round by round, and each keeps its fastest
+       run: a burst of host load then slows every leg alike instead of
+       skewing the ratio of whichever leg it hit.  Campaigns are long, so
+       blocks of one run suffice once warmed. *)
+    let legs = [| 1; 2; 4 |] in
+    Array.iter (fun jobs -> run jobs ()) legs;
+    let best = Array.make (Array.length legs) infinity in
+    for _ = 1 to 7 do
+      Array.iteri
+        (fun i jobs ->
+          best.(i) <-
+            Float.min best.(i) (min_of_blocks ~blocks:1 ~per_block:1 (run jobs)))
+        legs
+    done;
+    let jobs1_ns = best.(0) and jobs2_ns = best.(1) and jobs4_ns = best.(2) in
+    let deterministic =
+      let reference = C.run ~jobs:1 boom options in
+      C.run ~jobs:2 boom options = reference
+      && C.run ~jobs:4 boom options = reference
     in
-    let jobs1_ns = measure 1 in
-    let jobs4_ns = measure 4 in
-    let deterministic = C.run ~jobs:1 boom options = C.run ~jobs:4 boom options in
     Dvz_obs.Json.Obj
       [ ("name", Dvz_obs.Json.Str "campaign/batch-throughput");
         ("iterations", Dvz_obs.Json.Int options.C.iterations);
         ("batch", Dvz_obs.Json.Int options.C.batch);
         ("jobs1_ns", Dvz_obs.Json.Float jobs1_ns);
+        ("jobs2_ns", Dvz_obs.Json.Float jobs2_ns);
         ("jobs4_ns", Dvz_obs.Json.Float jobs4_ns);
+        ("scaling2", Dvz_obs.Json.Float (jobs1_ns /. Float.max 1.0 jobs2_ns));
         ("scaling", Dvz_obs.Json.Float (jobs1_ns /. Float.max 1.0 jobs4_ns));
         ("jobs_requested", Dvz_obs.Json.Int 4);
         ("jobs_effective",
@@ -413,9 +428,15 @@ module Simbench = struct
                         Some (Dvz_obs.Json.Float s),
                         _,
                         Some (Dvz_obs.Json.Int d) ) ->
+                        let s2 =
+                          match List.assoc_opt "scaling2" f with
+                          | Some (Dvz_obs.Json.Float s2) -> s2
+                          | _ -> nan
+                        in
                         Printf.printf
-                          "%-32s %.2fx scaling at 4 jobs (%d domains available)\n"
-                          n s d
+                          "%-32s %.2fx scaling at 2 jobs, %.2fx at 4 jobs (%d \
+                           domains available)\n"
+                          n s2 s d
                     | ( Some (Dvz_obs.Json.Str n),
                         None,
                         Some (Dvz_obs.Json.Float o),

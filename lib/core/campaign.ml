@@ -741,53 +741,57 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
   in
   let b = ref start_it in
   (try
-     while !b < options.iterations do
-       let count = min options.batch (options.iterations - !b) in
-       Metrics.incr m_batches;
-       Metrics.with_span tel.t_metrics "dvz_campaign_batch_seconds" (fun () ->
-        let snap = Corpus.snapshot corpus in
-        let plans =
-          profiled "campaign/schedule" (fun () ->
-              Scheduler.schedule ~fresh_seed_prob:options.fresh_seed_prob
-                ~corpus:snap ~rng ~start:!b ~count)
-        in
-        (* [jobs] counts total lanes (orchestrator included) and
-           [Parallel.map ~domains] shares that meaning, pre-clamped to the
-           hardware above; effective jobs = 1 stays on this domain with no
-           spawn overhead.  A [Fault.Killed] raised by any
-           executor is re-raised here by [Parallel.map] — lowest iteration
-           first — exactly as the sequential loop propagates it.  A
-           [dispatch] override (the fleet coordinator) replaces execution
-           entirely; as long as it returns one outcome per plan in
-           plan-index order, the fold — and therefore every observable
-           result — is identical to in-process execution. *)
-        let outcomes =
-          match dispatch with
-          | Some d -> d ctx plans
-          | None ->
-              Dvz_util.Parallel.map ~domains:jobs_effective
-                (Executor.execute ctx) plans
-        in
-        List.iter fold_outcome outcomes);
-       let b1 = !b + count in
-       incr batch_no;
-       (match rz.rz_checkpoint with
-       | Some path
-         when rz.rz_checkpoint_every > 0
-              && b1 / rz.rz_checkpoint_every > !b / rz.rz_checkpoint_every ->
-           (* The batch crossed an every-N boundary; at batch = 1 this is
-              the old [(it + 1) mod every = 0] cadence. *)
-           profiled "campaign/checkpoint" (fun () ->
-               save_checkpoint ~keep_previous:rz.rz_checkpoint_keep ~path
-                 (make_checkpoint b1));
-           if events_on then
-             Events.emit tel.t_events
-               [ ("type", Json.Str "checkpoint");
-                 ("iteration", Json.Int b1);
-                 ("path", Json.Str path) ]
-       | _ -> ());
-       b := b1
-     done
+     (* One worker pool for the whole batch loop: its domains spawn on the
+        first parallel batch (set-up stays single-domain) and stay parked
+        between batches, so their testbench pools stay warm. *)
+     Dvz_util.Parallel.with_pool ~domains:jobs_effective (fun pool ->
+       while !b < options.iterations do
+         let count = min options.batch (options.iterations - !b) in
+         Metrics.incr m_batches;
+         Metrics.with_span tel.t_metrics "dvz_campaign_batch_seconds" (fun () ->
+          let snap = Corpus.snapshot corpus in
+          let plans =
+            profiled "campaign/schedule" (fun () ->
+                Scheduler.schedule ~fresh_seed_prob:options.fresh_seed_prob
+                  ~corpus:snap ~rng ~start:!b ~count)
+          in
+          (* [jobs] counts total lanes (orchestrator included) and the
+             pool shares that meaning, pre-clamped to the hardware above;
+             effective jobs = 1 stays on this domain and spawns nothing.  A
+             [Fault.Killed] raised by any executor is re-raised here by
+             [Parallel.run] — lowest iteration first — exactly as the
+             sequential loop propagates it, and the pool's workers are
+             joined on the way out.  A [dispatch] override (the fleet
+             coordinator) replaces execution entirely and never wakes the
+             pool; as long as it returns one outcome per plan in
+             plan-index order, the fold — and therefore every observable
+             result — is identical to in-process execution. *)
+          let outcomes =
+            match dispatch with
+            | Some d -> d ctx plans
+            | None ->
+                Dvz_util.Parallel.run pool (Executor.execute ctx) plans
+          in
+          List.iter fold_outcome outcomes);
+         let b1 = !b + count in
+         incr batch_no;
+         (match rz.rz_checkpoint with
+         | Some path
+           when rz.rz_checkpoint_every > 0
+                && b1 / rz.rz_checkpoint_every > !b / rz.rz_checkpoint_every ->
+             (* The batch crossed an every-N boundary; at batch = 1 this is
+                the old [(it + 1) mod every = 0] cadence. *)
+             profiled "campaign/checkpoint" (fun () ->
+                 save_checkpoint ~keep_previous:rz.rz_checkpoint_keep ~path
+                   (make_checkpoint b1));
+             if events_on then
+               Events.emit tel.t_events
+                 [ ("type", Json.Str "checkpoint");
+                   ("iteration", Json.Int b1);
+                   ("path", Json.Str path) ]
+         | _ -> ());
+         b := b1
+       done)
    with e ->
      (* An injected kill (or any other abort) unwinds through here; the
         sink's buffered tail is the part of the event log a post-mortem

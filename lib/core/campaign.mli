@@ -198,7 +198,9 @@ val run :
   stats
 (** Runs the campaign.  [jobs] (default 1) is the total number of lanes
     executing each batch of plans — the orchestrator's domain included,
-    so [jobs = 4] spawns three extra domains.  Requests beyond the
+    so [jobs = 4] uses three worker domains, spawned on the first batch
+    and kept for the whole campaign ({!Dvz_util.Parallel.with_pool}).
+    Requests beyond the
     hardware are clamped ({!Dvz_util.Parallel.effective_lanes}, noted
     once on stderr and reported as [pg_jobs_effective]).  Since every
     plan carries its own pre-split child generator and all side effects

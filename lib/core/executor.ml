@@ -51,7 +51,7 @@ let execute cx (plan : Scheduler.plan) =
   let clk = cx.cx_clock in
   (if Array.length cx.cx_domain_iters > 0 then begin
      (* The array is sized from the campaign's effective lane count and
-        [Parallel.map] never hands out indices beyond it, so an
+        the worker pool never hands out indices beyond it, so an
         out-of-range index is a wiring bug — assert instead of silently
         folding high slots into the last counter. *)
      let w = Dvz_util.Parallel.worker_index () in

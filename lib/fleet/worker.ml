@@ -36,6 +36,7 @@ type t = {
   mutable k_seq : int;          (* flushes sent; under k_flush_mutex *)
   mutable k_trace_cursor : int; (* trace delta cursor; under k_flush_mutex *)
   mutable k_ctx : (Wire.spec * Executor.ctx) option;
+  mutable k_pool : Dvz_util.Parallel.pool option;  (* opened at Config *)
   mutable k_heartbeat : Thread.t option;
 }
 
@@ -103,6 +104,11 @@ let start_heartbeat t (spec : Wire.spec) =
              with _ -> ())
            ())
 
+(* Total lanes a shard executes on: the spec's [--worker-jobs], clamped
+   to the hardware. *)
+let lanes (spec : Wire.spec) =
+  Dvz_util.Parallel.effective_lanes (max 1 spec.Wire.w_jobs)
+
 let build_ctx (spec : Wire.spec) =
   let budget =
     match (spec.Wire.w_max_slots, spec.Wire.w_max_wall_s) with
@@ -110,7 +116,6 @@ let build_ctx (spec : Wire.spec) =
     | max_slots, max_wall_s ->
         Some (Dvz_uarch.Dualcore.budget ?max_slots ?max_wall_s ())
   in
-  let jobs = Dvz_util.Parallel.effective_lanes (max 1 spec.Wire.w_jobs) in
   { Executor.cx_cfg = spec.Wire.w_cfg;
     cx_style = spec.Wire.w_style;
     cx_taint_mode = spec.Wire.w_taint_mode;
@@ -119,7 +124,7 @@ let build_ctx (spec : Wire.spec) =
     cx_budget = budget;
     cx_clock = Dvz_obs.Clock.real;
     cx_domain_iters =
-      Array.init jobs (fun i ->
+      Array.init (lanes spec) (fun i ->
           Metrics.counter Metrics.default
             ~help:"Campaign iterations executed by one worker domain"
             (Printf.sprintf "dvz_campaign_iterations_domain_%d" i)) }
@@ -133,24 +138,19 @@ let send_outcome t ~epoch (o : Executor.outcome) =
          o_payload = Wire.outcome_to_string o })
 
 let handle_assign t ~epoch payload =
-  match t.k_ctx with
-  | None -> failwith "fleet worker: Assign before Config"
-  | Some (spec, ctx) -> (
+  match (t.k_ctx, t.k_pool) with
+  | None, _ | _, None -> failwith "fleet worker: Assign before Config"
+  | Some (spec, ctx), Some pool -> (
       match Wire.plans_of_string payload with
       | Error e -> failwith ("fleet worker: " ^ e)
       | Ok plans ->
-          let jobs =
-            Dvz_util.Parallel.effective_lanes (max 1 spec.Wire.w_jobs)
-          in
-          if jobs > 1 && List.length plans > 1 then
-            (* Execute the shard across domains ([~domains] counts total
-               lanes), then stream results in plan order.  [Fault.Killed]
-               from any plan propagates and takes the whole process down —
-               by design: that is the fault the supervisor exists to
-               survive. *)
+          if lanes spec > 1 && List.length plans > 1 then
+            (* Execute the shard across the pool's lanes, then stream
+               results in plan order.  [Fault.Killed] from any plan
+               propagates and takes the whole process down — by design:
+               that is the fault the supervisor exists to survive. *)
             List.iter (send_outcome t ~epoch)
-              (Dvz_util.Parallel.map ~domains:jobs (Executor.execute ctx)
-                 plans)
+              (Dvz_util.Parallel.run pool (Executor.execute ctx) plans)
           else
             (* Stream incrementally: completed iterations reach the
                coordinator even if a later plan kills this process. *)
@@ -196,6 +196,7 @@ let main ?(log = ignore) ?(incarnation = 0) ~slot ~in_fd ~out_fd () =
       k_seq = 0;
       k_trace_cursor = 0;
       k_ctx = None;
+      k_pool = None;
       k_heartbeat = None }
   in
   let buf = Bytes.create 65536 in
@@ -209,6 +210,16 @@ let main ?(log = ignore) ?(incarnation = 0) ~slot ~in_fd ~out_fd () =
            still reaches the coordinator before the pipe closes.  A
            coordinator that stops reading after Shutdown is no news. *)
         (try flush_telemetry t with Hangup -> ())
+    | Ok (Some (Proto.Config _ as msg)) when t.k_pool = None ->
+        (* The rest of the session runs inside one worker pool sized from
+           the spec's lanes: its domains spawn on the first parallel shard
+           and stay warm for every later one, and are joined however the
+           loop ends. *)
+        handle t msg;
+        let jobs = match t.k_ctx with Some (spec, _) -> lanes spec | None -> 1 in
+        Dvz_util.Parallel.with_pool ~domains:jobs (fun pool ->
+            t.k_pool <- Some pool;
+            loop ())
     | Ok (Some msg) ->
         handle t msg;
         loop ()

@@ -1,7 +1,7 @@
 (* Hierarchical self-profiler.  One process-wide instance (like
    {!Metrics.default}): instrumentation sites all over the tree —
    executor phases, Dualcore.step, the compiled Sim/Shadow eval loops,
-   corpus scheduling, checkpoint writes, Parallel.map dispatch — are
+   corpus scheduling, checkpoint writes, Parallel.run dispatch — are
    compiled in permanently and guarded by a single [Atomic.get] so a
    disarmed profiler costs nothing and allocates nothing on the hot
    path.  Armed, every region exit folds into a path-keyed aggregate

@@ -8,7 +8,7 @@ let m_tasks =
 
 (* Per-domain task counters, memoised: the registry lookup (name
    formatting + mutex + hashtable probe) happens once per index for the
-   process lifetime instead of once per [map] call, keeping it out of
+   process lifetime instead of once per [run] call, keeping it out of
    the batch hot path. *)
 let domain_counters : (int, Metrics.counter) Hashtbl.t = Hashtbl.create 8
 let domain_counters_mutex = Mutex.create ()
@@ -29,10 +29,10 @@ let domain_counter idx =
           Hashtbl.replace domain_counters idx c;
           c)
 
-(* Which worker slot the current domain occupies inside a [map] (0 for
-   the caller and outside any map).  Saved/restored around nested maps
-   so an inner map on the caller's domain does not clobber the index an
-   outer map assigned it. *)
+(* Which worker slot the current domain occupies inside a [run] (0 for
+   the caller and outside any run).  Saved/restored around nested runs
+   so an inner run on the caller's domain does not clobber the index an
+   outer run assigned it. *)
 let worker_key = Domain.DLS.new_key (fun () -> 0)
 let worker_index () = Domain.DLS.get worker_key
 
@@ -64,19 +64,92 @@ let backoff ?(base = 0.05) ?(factor = 2.0) ?(cap = 30.0) k =
   let d = base *. (factor ** float_of_int (k - 1)) in
   Float.min cap d
 
-let map ?domains f xs =
-  let n = List.length xs in
-  (* [~domains:N] means N *total* lanes (the caller's domain included), so
-     [--jobs 4] executes on exactly 4 lanes — the previous semantics spawned
-     [min N (n-1)] extra domains on top of the caller, making jobs=4 run on
-     5 lanes and oversubscribe small boxes. *)
-  let lanes =
-    match domains with
-    | Some d -> if d < 1 then d else effective_lanes d
-    | None -> effective_lanes (available ())
+(* A campaign-scoped pool: [lanes - 1] worker domains, spawned on the
+   first [run] that needs them and parked on [mutex]/[wake] between runs.
+   A parked worker keeps its domain — and with it every [Domain.DLS]
+   slot, the testbench pool above all — warm for the next batch.  Each
+   [run] posts one lane function as a new [generation]; [pending] counts
+   the workers still executing it and [idle] tells the caller when it
+   drops to zero. *)
+type pool = {
+  lanes : int;
+  mutex : Mutex.t;
+  wake : Condition.t;
+  idle : Condition.t;
+  mutable generation : int;
+  mutable job : int -> unit;
+  mutable pending : int;
+  mutable stop : bool;
+  mutable workers : unit Domain.t list;
+}
+
+let rec park p idx seen =
+  Mutex.lock p.mutex;
+  while p.generation = seen && not p.stop do
+    Condition.wait p.wake p.mutex
+  done;
+  let stop = p.stop and gen = p.generation and job = p.job in
+  Mutex.unlock p.mutex;
+  if not stop then begin
+    (* A lane function records task failures instead of raising, so
+       [pending] always drains. *)
+    job idx;
+    Mutex.lock p.mutex;
+    p.pending <- p.pending - 1;
+    if p.pending = 0 then Condition.signal p.idle;
+    Mutex.unlock p.mutex;
+    park p idx gen
+  end
+
+let post p job =
+  (* Lazy spawn, one domain at a time so a failed spawn leaves [workers]
+     exact.  A worker starts parked on the current generation: it joins
+     the next post, never a stale job. *)
+  while List.length p.workers < p.lanes - 1 do
+    let idx = List.length p.workers + 1 and seen = p.generation in
+    p.workers <- Domain.spawn (fun () -> park p idx seen) :: p.workers
+  done;
+  Mutex.lock p.mutex;
+  p.job <- job;
+  p.pending <- p.lanes - 1;
+  p.generation <- p.generation + 1;
+  Condition.broadcast p.wake;
+  Mutex.unlock p.mutex
+
+let drain p =
+  Mutex.lock p.mutex;
+  while p.pending > 0 do
+    Condition.wait p.idle p.mutex
+  done;
+  (* Drop the finished job so a parked pool holds no batch's tasks or
+     results alive. *)
+  p.job <- ignore;
+  Mutex.unlock p.mutex
+
+let shutdown p =
+  Mutex.lock p.mutex;
+  p.stop <- true;
+  Condition.broadcast p.wake;
+  Mutex.unlock p.mutex;
+  List.iter Domain.join p.workers
+
+let with_pool ?domains body =
+  (* [~domains:N] means N *total* lanes, the caller's domain included, so
+     [--jobs 4] executes on exactly 4 lanes. *)
+  let lanes = effective_lanes (Option.value domains ~default:(available ())) in
+  let p =
+    { lanes; mutex = Mutex.create (); wake = Condition.create ();
+      idle = Condition.create (); generation = 0; job = ignore; pending = 0;
+      stop = false; workers = [] }
   in
-  if lanes < 2 || n <= 1 then begin
-    (* The caller runs every task itself, so it is slot 0 of this map even
+  Fun.protect ~finally:(fun () -> shutdown p) (fun () -> body p)
+
+let profiled name f = if Profile.armed () then Profile.wrap name f else f ()
+
+let run p f xs =
+  let n = List.length xs in
+  if p.lanes < 2 || n <= 1 then begin
+    (* The caller runs every task itself, so it is slot 0 of this run even
        when it is a worker of an enclosing one: a nested campaign sizes its
        per-slot arrays from its own lane count. *)
     let saved = Domain.DLS.get worker_key in
@@ -93,7 +166,6 @@ let map ?domains f xs =
           xs)
   end
   else begin
-    let lanes = min lanes n in
     let arr = Array.of_list xs in
     let results = Array.make n None in
     let errors = Array.make n None in
@@ -103,8 +175,8 @@ let map ?domains f xs =
        fine-grained enough (≥ 4 claims per lane on an even split) that one
        slow task — a timeout, a deep transient window — doesn't leave the
        other lanes idle behind a static partition. *)
-    let chunk = max 1 (n / (lanes * 4)) in
-    let worker idx () =
+    let chunk = max 1 (n / (p.lanes * 4)) in
+    let lane idx =
       let saved = Domain.DLS.get worker_key in
       Domain.DLS.set worker_key idx;
       (* Mirror the worker slot into the profiler's track id so region
@@ -127,8 +199,8 @@ let map ?domains f xs =
                 match f arr.(i) with
                 | v -> results.(i) <- Some v
                 | exception e ->
-                    (* Record instead of dying: the domain keeps draining
-                       tasks so Domain.join never deadlocks, and the caller
+                    (* Record instead of dying: the lane keeps draining
+                       tasks so the run always completes, and the caller
                        re-raises the first failure with its real
                        backtrace. *)
                     errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
@@ -138,16 +210,9 @@ let map ?domains f xs =
           in
           go ())
     in
-    let spawned =
-      if Profile.armed () then
-        Profile.wrap "parallel/dispatch" (fun () ->
-            List.init (lanes - 1) (fun i -> Domain.spawn (worker (i + 1))))
-      else List.init (lanes - 1) (fun i -> Domain.spawn (worker (i + 1)))
-    in
-    worker 0 ();
-    if Profile.armed () then
-      Profile.wrap "parallel/drain" (fun () -> List.iter Domain.join spawned)
-    else List.iter Domain.join spawned;
+    profiled "parallel/dispatch" (fun () -> post p lane);
+    lane 0;
+    profiled "parallel/drain" (fun () -> drain p);
     Array.iter
       (function
         | Some (e, bt) -> Printexc.raise_with_backtrace e bt
@@ -160,3 +225,5 @@ let map ?domains f xs =
            | None -> assert false (* every slot has a result or an error *))
          results)
   end
+
+let map ?domains f xs = with_pool ?domains (fun p -> run p f xs)

@@ -254,7 +254,14 @@ let test_fleet_matches_single_process () =
   let stats, fstats, events = fleet_events (quiet_opts ~workers:2) options in
   check_matches_baseline "fleet" base (stats, events);
   Alcotest.(check int) "both workers spawned" 2 fstats.Coordinator.fs_spawns;
-  Alcotest.(check int) "no restarts" 0 fstats.Coordinator.fs_restarts
+  Alcotest.(check int) "no restarts" 0 fstats.Coordinator.fs_restarts;
+  (* Each worker runs its shards on a two-lane pool kept across Assigns. *)
+  let stats, _, events =
+    fleet_events
+      { (quiet_opts ~workers:2) with Coordinator.fl_worker_jobs = 2 }
+      options
+  in
+  check_matches_baseline "fleet, 2 lanes per worker" base (stats, events)
 
 let test_fleet_survives_sigkill () =
   let base = baseline_events options in

@@ -975,6 +975,31 @@ let test_dualcore_reset_alloc_bound () =
     (Printf.sprintf "reset allocates < 4096 words (got %.0f)" delta)
     true (delta < 4096.0)
 
+(* A campaign's worker domains live as long as the campaign, so each
+   lane's pooled testbench is built once, not once per batch: eight
+   batches at two jobs build at most one instance per lane.  The [~jobs:1]
+   reference run goes first and warms the orchestrator's slot. *)
+let test_campaign_pool_warm_across_batches () =
+  let options =
+    { Campaign.default_options with
+      Campaign.iterations = 64; rng_seed = 11; batch = 8 }
+  in
+  let misses () =
+    Dvz_obs.Metrics.counter_value
+      (Dvz_obs.Metrics.counter Dvz_obs.Metrics.default
+         "dvz_simpool_misses_total")
+  in
+  let seq = Campaign.run ~jobs:1 boom options in
+  let before = misses () in
+  let par = Campaign.run ~jobs:2 boom options in
+  let built = misses () - before in
+  let lanes = Dvz_util.Parallel.effective_lanes 2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d testbenches built over 8 batches on %d lanes" built
+       lanes)
+    true (built <= lanes);
+  Alcotest.(check bool) "jobs 2 stats equal jobs 1 stats" true (par = seq)
+
 let () =
   Alcotest.run "dejavuzz"
     [ ( "seed",
@@ -1070,6 +1095,8 @@ let () =
             test_simpool_identity_and_keys;
           Alcotest.test_case "reset allocation bound" `Quick
             test_dualcore_reset_alloc_bound;
+          Alcotest.test_case "warm across batches" `Quick
+            test_campaign_pool_warm_across_batches;
           QCheck_alcotest.to_alcotest prop_pooled_reset_equals_fresh;
           QCheck_alcotest.to_alcotest prop_pooled_oracle_analysis_stable ] );
       ( "explain",

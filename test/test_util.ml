@@ -244,6 +244,76 @@ let test_parallel_effective_lanes () =
   Alcotest.(check int) "available itself passes through" avail
     (Dvz_util.Parallel.effective_lanes avail)
 
+(* A pool's workers park between runs instead of exiting, so slot 1's
+   tasks in two runs land on one domain (and its domain-local state
+   carries over).  With one domain available the pool never spawns: every
+   task runs on the caller's domain instead. *)
+let test_pool_reuses_domains () =
+  let self () = (Domain.self () :> int) in
+  let caller = self () in
+  let task _ =
+    Unix.sleepf 0.005;
+    (Dvz_util.Parallel.worker_index (), self ())
+  in
+  let xs = List.init 16 (fun i -> i) in
+  let r1, r2 =
+    Dvz_util.Parallel.with_pool ~domains:2 (fun pool ->
+        let r1 = Dvz_util.Parallel.run pool task xs in
+        (r1, Dvz_util.Parallel.run pool task xs))
+  in
+  let on_slot slot r =
+    List.sort_uniq compare
+      (List.filter_map (fun (w, d) -> if w = slot then Some d else None) r)
+  in
+  Alcotest.(check (list int)) "slot 0 is the caller's domain" [ caller ]
+    (on_slot 0 (r1 @ r2));
+  if Dvz_util.Parallel.available () >= 2 then
+    match (on_slot 1 r1, on_slot 1 r2) with
+    | [ d1 ], [ d2 ] ->
+        Alcotest.(check int) "slot 1 on the same domain in both runs" d1 d2;
+        Alcotest.(check bool) "slot 1 is not the caller" true (d1 <> caller)
+    | a, b ->
+        Alcotest.failf "slot 1 ran on %d and %d domains" (List.length a)
+          (List.length b)
+  else
+    Alcotest.(check bool) "every task on the caller's domain" true
+      (List.for_all (fun (w, d) -> w = 0 && d = caller) (r1 @ r2))
+
+exception Task_failed of int
+
+let test_pool_survives_task_failure () =
+  Dvz_util.Parallel.with_pool ~domains:2 (fun pool ->
+      Alcotest.check_raises "lowest-index failure, original constructor"
+        (Task_failed 3) (fun () ->
+          ignore
+            (Dvz_util.Parallel.run pool
+               (fun x -> if x >= 3 then raise (Task_failed x) else x)
+               (List.init 8 (fun i -> i))));
+      Alcotest.(check (list int)) "the same pool serves the next run"
+        [ 1; 2; 3; 4 ]
+        (Dvz_util.Parallel.run pool (fun x -> x + 1) [ 0; 1; 2; 3 ]))
+
+(* Every scope joins its workers, whether the body returns or raises:
+   200 scopes would exceed the runtime's 128-domain limit if any leaked. *)
+let test_pool_scopes_do_not_leak () =
+  for i = 1 to 200 do
+    match
+      Dvz_util.Parallel.with_pool ~domains:2 (fun pool ->
+          let r =
+            Dvz_util.Parallel.run pool
+              (fun x -> if i mod 5 = 0 && x = 2 then raise Exit else x * 2)
+              [ 1; 2; 3; 4 ]
+          in
+          if i mod 3 = 0 then raise Not_found;
+          r)
+    with
+    | r -> Alcotest.(check (list int)) "results" [ 2; 4; 6; 8 ] r
+    | exception Exit ->
+        Alcotest.(check bool) "task raised" true (i mod 5 = 0)
+    | exception Not_found ->
+        Alcotest.(check bool) "body raised" true (i mod 3 = 0)
+  done
+
 (* map must agree with List.map in order and content for every domain
    count. *)
 let prop_parallel_map_equals_list_map =
@@ -290,6 +360,12 @@ let () =
             test_parallel_total_lanes;
           Alcotest.test_case "effective lanes clamp" `Quick
             test_parallel_effective_lanes;
+          Alcotest.test_case "pool reuses domains" `Quick
+            test_pool_reuses_domains;
+          Alcotest.test_case "pool survives task failure" `Quick
+            test_pool_survives_task_failure;
+          Alcotest.test_case "pool scopes do not leak" `Quick
+            test_pool_scopes_do_not_leak;
           QCheck_alcotest.to_alcotest prop_parallel_map_equals_list_map ] );
       ( "tablefmt",
         [ Alcotest.test_case "render" `Quick test_table_render;
