@@ -1,7 +1,8 @@
 (* The fleet's child process: a stateless remote executor.
 
    Protocol from the worker's seat: say [Hello], receive one [Config]
-   (build the executor context, start the heartbeat thread), then loop —
+   (build the executor context, open the session's worker pool, start
+   the heartbeat thread), then loop —
    each [Assign] is a shard of plans to execute, each plan producing one
    [Outcome] frame; [Shutdown] or pipe EOF ends the loop.  The worker
    holds no campaign state whatsoever: every plan carries its own
@@ -35,8 +36,8 @@ type t = {
   k_flush_mutex : Mutex.t;  (* telemetry flush: heartbeat vs shutdown *)
   mutable k_seq : int;          (* flushes sent; under k_flush_mutex *)
   mutable k_trace_cursor : int; (* trace delta cursor; under k_flush_mutex *)
-  mutable k_ctx : (Wire.spec * Executor.ctx) option;
-  mutable k_pool : Dvz_util.Parallel.pool option;  (* opened at Config *)
+  mutable k_session : (Wire.spec * Executor.ctx * Dvz_util.Parallel.pool) option;
+      (* set once, at Config *)
   mutable k_heartbeat : Thread.t option;
 }
 
@@ -138,9 +139,9 @@ let send_outcome t ~epoch (o : Executor.outcome) =
          o_payload = Wire.outcome_to_string o })
 
 let handle_assign t ~epoch payload =
-  match (t.k_ctx, t.k_pool) with
-  | None, _ | _, None -> failwith "fleet worker: Assign before Config"
-  | Some (spec, ctx), Some pool -> (
+  match t.k_session with
+  | None -> failwith "fleet worker: Assign before Config"
+  | Some (spec, ctx, pool) -> (
       match Wire.plans_of_string payload with
       | Error e -> failwith ("fleet worker: " ^ e)
       | Ok plans ->
@@ -158,22 +159,20 @@ let handle_assign t ~epoch payload =
               (fun p -> send_outcome t ~epoch (Executor.execute ctx p))
               plans)
 
-let handle t msg =
-  match msg with
-  | Proto.Config { c_payload } -> (
-      match Wire.spec_of_string c_payload with
-      | Error e -> failwith ("fleet worker: " ^ e)
-      | Ok spec ->
-          t.k_ctx <- Some (spec, build_ctx spec);
+(* The rest of the session, [k ()], runs inside one worker pool sized from
+   the spec's lanes: its domains spawn on the first parallel shard, stay
+   warm for every later one, and are joined however the session ends. *)
+let with_session t payload k =
+  if Option.is_some t.k_session then failwith "fleet worker: second Config";
+  match Wire.spec_of_string payload with
+  | Error e -> failwith ("fleet worker: " ^ e)
+  | Ok spec ->
+      Dvz_util.Parallel.with_pool ~domains:(lanes spec) (fun pool ->
+          t.k_session <- Some (spec, build_ctx spec, pool);
           if spec.Wire.w_profile || spec.Wire.w_trace then
             Profile.arm ~trace:spec.Wire.w_trace ();
-          start_heartbeat t spec)
-  | Proto.Assign { a_epoch; a_payload } ->
-      handle_assign t ~epoch:a_epoch a_payload
-  | Proto.Hello _ | Proto.Outcome _ | Proto.Telemetry _ | Proto.Shutdown ->
-      failwith
-        (Printf.sprintf "fleet worker: unexpected %s frame from coordinator"
-           (Proto.kind_name msg))
+          start_heartbeat t spec;
+          k ())
 
 let main ?(log = ignore) ?(incarnation = 0) ~slot ~in_fd ~out_fd () =
   (* A worker whose coordinator died mid-write must exit, not crash. *)
@@ -195,8 +194,7 @@ let main ?(log = ignore) ?(incarnation = 0) ~slot ~in_fd ~out_fd () =
       k_flush_mutex = Mutex.create ();
       k_seq = 0;
       k_trace_cursor = 0;
-      k_ctx = None;
-      k_pool = None;
+      k_session = None;
       k_heartbeat = None }
   in
   let buf = Bytes.create 65536 in
@@ -210,19 +208,14 @@ let main ?(log = ignore) ?(incarnation = 0) ~slot ~in_fd ~out_fd () =
            still reaches the coordinator before the pipe closes.  A
            coordinator that stops reading after Shutdown is no news. *)
         (try flush_telemetry t with Hangup -> ())
-    | Ok (Some (Proto.Config _ as msg)) when t.k_pool = None ->
-        (* The rest of the session runs inside one worker pool sized from
-           the spec's lanes: its domains spawn on the first parallel shard
-           and stay warm for every later one, and are joined however the
-           loop ends. *)
-        handle t msg;
-        let jobs = match t.k_ctx with Some (spec, _) -> lanes spec | None -> 1 in
-        Dvz_util.Parallel.with_pool ~domains:jobs (fun pool ->
-            t.k_pool <- Some pool;
-            loop ())
-    | Ok (Some msg) ->
-        handle t msg;
+    | Ok (Some (Proto.Config { c_payload })) -> with_session t c_payload loop
+    | Ok (Some (Proto.Assign { a_epoch; a_payload })) ->
+        handle_assign t ~epoch:a_epoch a_payload;
         loop ()
+    | Ok (Some ((Proto.Hello _ | Proto.Outcome _ | Proto.Telemetry _) as msg)) ->
+        failwith
+          (Printf.sprintf "fleet worker: unexpected %s frame from coordinator"
+             (Proto.kind_name msg))
     | Ok None ->
         let n =
           try Unix.read t.k_in buf 0 (Bytes.length buf)
