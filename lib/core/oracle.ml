@@ -87,6 +87,20 @@ let attack_of_result result =
       if List.exists (fun w -> w.Core.wr_secret_fault) ws then Some `Meltdown
       else Some `Spectre
 
+(* [sorted_diff xs ys]: the elements of [xs] absent from [ys], in [xs]'s
+   order.  Both come from [Taintstate.tainted_elems] (sorted, no
+   duplicates) through order-preserving filters, so one linear merge
+   replaces the O(n·m) membership scan — the [oracle/sink-filter] rung. *)
+let rec sorted_diff xs ys =
+  match (xs, ys) with
+  | [], _ -> []
+  | _, [] -> xs
+  | x :: xr, y :: yr ->
+      let c = Elem.compare x y in
+      if c < 0 then x :: sorted_diff xr ys
+      else if c > 0 then sorted_diff xs yr
+      else sorted_diff xr yr
+
 let analyze ?(use_liveness = true) ?(mode = Dvz_ift.Policy.Diffift) ?log_bound
     ?budget cfg ~secret tc =
   (* Draw from the per-domain pool instead of building a fresh testbench
@@ -136,11 +150,7 @@ let analyze ?(use_liveness = true) ?(mode = Dvz_ift.Policy.Diffift) ?log_bound
              List.filter microarch_sink sanitized.Dualcore.r_live_tainted
            else List.filter microarch_sink sanitized.Dualcore.r_final_tainted
          in
-         let encoded =
-           List.filter
-             (fun e -> not (List.exists (Elem.equal e) baseline))
-             candidates
-         in
+         let encoded = sorted_diff candidates baseline in
          if encoded <> [] then
            leaks :=
              !leaks

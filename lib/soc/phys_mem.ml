@@ -71,6 +71,11 @@ let write t ~addr ~size v =
     | _ -> write_slow t ~addr ~size v
   else write_slow t ~addr ~size v
 
+let blit t ~addr src ~off ~len =
+  (* Clip to the modelled range: the bytes [write] would drop are dropped. *)
+  let lo = max addr 0 and hi = min (addr + len) (Bytes.length t.data) in
+  if lo < hi then Bytes.blit src (off + lo - addr) t.data lo (hi - lo)
+
 let write_words t addr ws =
   Array.iteri (fun i w -> write t ~addr:(addr + (4 * i)) ~size:4 w) ws
 

@@ -37,6 +37,11 @@ val read : t -> addr:int -> size:int -> int
 val write : t -> addr:int -> size:int -> int -> unit
 (** Backdoor little-endian write. *)
 
+val blit : t -> addr:int -> Bytes.t -> off:int -> len:int -> unit
+(** [blit t ~addr src ~off ~len] copies [len] bytes of [src] from [off]
+    into memory at [addr] (no permission check).  Bytes falling outside
+    the modelled range are ignored, exactly as with {!write}. *)
+
 val write_words : t -> int -> int array -> unit
 (** [write_words t addr ws] stores 32-bit words consecutively from [addr];
     the common way of loading assembled code. *)

@@ -12,6 +12,15 @@ let ebreak_word = Dvz_isa.Encode.encode Dvz_isa.Insn.Ebreak
 
 let max_words = Layout.swap_size / 4
 
+(* The whole region as ebreak words: a swap-in copies the tail past the
+   blob in one blit instead of up to [max_words] word writes. *)
+let ebreak_image =
+  let b = Bytes.create (4 * max_words) in
+  for i = 0 to max_words - 1 do
+    Bytes.set_int32_le b (4 * i) (Int32.of_int ebreak_word)
+  done;
+  b
+
 let create ~blobs ~schedule =
   let all = Array.of_list blobs in
   List.iter
@@ -40,9 +49,9 @@ let load_next t mem =
     let b = t.all.(t.sched.(t.pos)) in
     t.pos <- t.pos + 1;
     Phys_mem.write_words mem Layout.swap_base b.words;
-    for i = Array.length b.words to max_words - 1 do
-      Phys_mem.write mem ~addr:(Layout.swap_base + (4 * i)) ~size:4 ebreak_word
-    done;
+    let used = 4 * Array.length b.words in
+    Phys_mem.blit mem ~addr:(Layout.swap_base + used) ebreak_image ~off:used
+      ~len:(Bytes.length ebreak_image - used);
     Some b
   end
 

@@ -26,6 +26,7 @@ type result = {
   r_cycles_b : int;
   r_committed_a : int;
   r_final_tainted : Elem.t list;
+      (** sorted by {!Elem.compare}; the live/dead splits keep its order *)
   r_live_tainted : Elem.t list;      (** tainted and live (instance A) *)
   r_dead_tainted : Elem.t list;
   r_timed_out : bool;

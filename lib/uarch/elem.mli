@@ -32,9 +32,34 @@ val module_of : t -> string
 
 val to_string : t -> string
 
+val index : t -> int
+(** The constructor's argument ([0] for [Pc]). *)
+
+val rank : t -> int
+(** The constructor's position in {!compare} order: [Pc] is 0, then
+    [Areg] 1 through [Stq] 15 in declaration order. *)
+
+val ranks : int
+(** Number of constructors (16). *)
+
+val of_rank : int -> int -> t
+(** [of_rank (rank e) (index e)] rebuilds [e].  Raises [Invalid_argument]
+    outside [0 .. ranks - 1]. *)
+
 val compare : t -> t -> int
+(** Orders by ({!rank}, {!index}) — the same order as [Stdlib.compare],
+    without the polymorphic walk. *)
+
 val equal : t -> t -> bool
 val hash : t -> int
 
 val all_modules : string list
 (** Every module tag, sorted — the row space of the coverage matrix. *)
+
+val module_names : string array
+(** {!all_modules} as an array. *)
+
+val module_id : t -> int
+(** Position of [module_of e] in {!module_names}, computed arithmetically
+    (no string is built); [-1] for a banked element with a negative index,
+    whose tag falls outside {!all_modules}. *)

@@ -1,64 +1,153 @@
 module Policy = Dvz_ift.Policy
 module Provenance = Dvz_ift.Provenance
+module Etbl = Hashtbl.Make (Elem)
 
-module Eset = struct
-  include Hashtbl
+(* Dense element ids.  Each constructor owns a contiguous id range sized to
+   its index space on the larger core preset, and the ranges follow
+   [Elem.compare] order ([Pc] first, then by rank), so an ascending scan
+   of the table visits tainted elements already sorted.  Indices outside
+   their range — negative or truncated addresses, [Mem] past the modelled
+   memory, B1's aliased addresses — live in a small fallback table. *)
+let caps =
+  let most f = max (f Config.boom_small) (f Config.xiangshan_minimal) in
+  let caps = Array.make Elem.ranks 0 in
+  List.iter
+    (fun (e, n) -> caps.(Elem.rank e) <- n)
+    Elem.
+      [ (Pc, 1); (Areg 0, 32); (Sreg 0, 32);
+        (Mem 0, Dvz_soc.Layout.mem_size / 8);
+        (Dcache 0, most (fun c -> c.Config.dcache_lines));
+        (Icache 0, most (fun c -> c.Config.icache_lines));
+        (Lfb 0, most (fun c -> c.Config.lfb_entries));
+        (Btb 0, most (fun c -> c.Config.btb_entries));
+        (Bht 0, most (fun c -> c.Config.bht_entries));
+        (Ras 0, most (fun c -> c.Config.ras_entries));
+        (Loop 0, most (fun c -> c.Config.loop_entries));
+        (Tlb 0, most (fun c -> c.Config.tlb_entries));
+        (L2tlb 0, most (fun c -> c.Config.l2tlb_entries));
+        (Rob 0, most (fun c -> c.Config.rob_entries));
+        (Ldq 0, most (fun c -> c.Config.ldq_entries));
+        (Stq 0, most (fun c -> c.Config.stq_entries)) ];
+  caps
 
-  let mem_elem tbl e = Hashtbl.mem tbl e
-end
+let bases =
+  let b = Array.make Elem.ranks 0 in
+  for r = 1 to Elem.ranks - 1 do b.(r) <- b.(r - 1) + caps.(r - 1) done;
+  b
+
+let dense_size = bases.(Elem.ranks - 1) + caps.(Elem.ranks - 1)
+
+(* The element's dense id, or -1 when it belongs in the fallback table. *)
+let dense_id e =
+  let r = Elem.rank e and i = Elem.index e in
+  if i >= 0 && i < Array.unsafe_get caps r then Array.unsafe_get bases r + i
+  else -1
 
 type t = {
   mode : Policy.mode;
-  taints : (Elem.t, unit) Hashtbl.t;
-  saved : (Elem.t, bool) Hashtbl.t;  (** window-open checkpoint *)
-  by_module : (string, int) Hashtbl.t;
-      (** per-module tainted-element counts, maintained incrementally on
-          taint transitions — [tainted_by_module] is read once per logged
-          slot, and rebuilding it by walking every tainted element (each
-          [Elem.module_of] call formats a bank name) dominated the log *)
+  taints : Bytes.t;  (** one byte per dense id; ['\001'] = tainted *)
+  extra : unit Etbl.t;  (** tainted elements outside the dense ranges *)
+  rank_count : int array;  (** tainted dense ids per rank *)
+  mutable count : int;  (** tainted elements, dense and fallback *)
+  saved : Bytes.t;
+      (** window-open checkpoint per dense id: ['\000'] not saved,
+          ['\001'] saved clean, ['\002'] saved tainted *)
+  extra_saved : bool Etbl.t;
+  by_module : int array;
+      (** tainted-element counts per [Elem.module_names] entry, maintained
+          on taint transitions: [tainted_by_module] is read once per
+          logged slot *)
+  odd_modules : (string, int) Hashtbl.t;
+      (** counts for module tags outside [Elem.all_modules] (a banked
+          element with a negative index) *)
   mutable bymod_cache : (string * int) list option;
       (** memoised [tainted_by_module] result, dropped on any taint
           transition: most logged slots see no transition, so the log
-          shares one list instead of folding and sorting per slot *)
+          shares one list instead of rebuilding it per slot *)
   prov : Provenance.t option;
 }
 
 let create ?provenance mode =
-  { mode; taints = Hashtbl.create 256; saved = Hashtbl.create 64;
-    by_module = Hashtbl.create 16; bymod_cache = None; prov = provenance }
+  { mode; taints = Bytes.make dense_size '\000'; extra = Etbl.create 8;
+    rank_count = Array.make Elem.ranks 0; count = 0;
+    saved = Bytes.make dense_size '\000'; extra_saved = Etbl.create 8;
+    by_module = Array.make (Array.length Elem.module_names) 0;
+    odd_modules = Hashtbl.create 1; bymod_cache = None; prov = provenance }
 
 let mode t = t.mode
 
 let reset t =
-  Hashtbl.reset t.taints;
-  Hashtbl.reset t.saved;
-  Hashtbl.reset t.by_module;
+  Bytes.fill t.taints 0 dense_size '\000';
+  Etbl.reset t.extra;
+  Array.fill t.rank_count 0 Elem.ranks 0;
+  t.count <- 0;
+  Bytes.fill t.saved 0 dense_size '\000';
+  Etbl.reset t.extra_saved;
+  Array.fill t.by_module 0 (Array.length t.by_module) 0;
+  Hashtbl.reset t.odd_modules;
   t.bymod_cache <- None
 
+(* Bookkeeping shared by every 0↔1 transition: [delta] is +1 or -1. *)
+let count_transition t e delta =
+  t.count <- t.count + delta;
+  t.bymod_cache <- None;
+  let m = Elem.module_id e in
+  if m >= 0 then t.by_module.(m) <- t.by_module.(m) + delta
+  else
+    let name = Elem.module_of e in
+    match Hashtbl.find_opt t.odd_modules name with
+    | Some n when n + delta <= 0 -> Hashtbl.remove t.odd_modules name
+    | Some n -> Hashtbl.replace t.odd_modules name (n + delta)
+    | None -> Hashtbl.replace t.odd_modules name delta
+
 let set_tainted t e =
-  if not (Hashtbl.mem t.taints e) then begin
-    Hashtbl.replace t.taints e ();
-    t.bymod_cache <- None;
-    let m = Elem.module_of e in
-    let cur = try Hashtbl.find t.by_module m with Not_found -> 0 in
-    Hashtbl.replace t.by_module m (cur + 1)
+  let id = dense_id e in
+  if id >= 0 then begin
+    if Bytes.unsafe_get t.taints id = '\000' then begin
+      Bytes.unsafe_set t.taints id '\001';
+      let r = Elem.rank e in
+      t.rank_count.(r) <- t.rank_count.(r) + 1;
+      count_transition t e 1
+    end
+  end
+  else if not (Etbl.mem t.extra e) then begin
+    Etbl.replace t.extra e ();
+    count_transition t e 1
   end
 
 let clear_tainted t e =
-  if Hashtbl.mem t.taints e then begin
-    Hashtbl.remove t.taints e;
-    t.bymod_cache <- None;
-    let m = Elem.module_of e in
-    match Hashtbl.find_opt t.by_module m with
-    | Some n when n <= 1 -> Hashtbl.remove t.by_module m
-    | Some n -> Hashtbl.replace t.by_module m (n - 1)
-    | None -> ()
+  let id = dense_id e in
+  if id >= 0 then begin
+    if Bytes.unsafe_get t.taints id <> '\000' then begin
+      Bytes.unsafe_set t.taints id '\000';
+      let r = Elem.rank e in
+      t.rank_count.(r) <- t.rank_count.(r) - 1;
+      count_transition t e (-1)
+    end
   end
-let is_tainted t e = Eset.mem_elem t.taints e
+  else if Etbl.mem t.extra e then begin
+    Etbl.remove t.extra e;
+    count_transition t e (-1)
+  end
+
+let is_tainted t e =
+  let id = dense_id e in
+  if id >= 0 then Bytes.unsafe_get t.taints id <> '\000'
+  else Etbl.length t.extra > 0 && Etbl.mem t.extra e
 
 let set t e v = if v then set_tainted t e else clear_tainted t e
 
-let any_tainted t es = List.exists (is_tainted t) es
+(* Explicit recursion: a partial application such as [List.exists
+   (is_tainted t)] would allocate a closure per call on the slot loop. *)
+let rec any_tainted t = function
+  | [] -> false
+  | e :: rest -> is_tainted t e || any_tainted t rest
+
+let rec set_all_tainted t = function
+  | [] -> ()
+  | e :: rest ->
+      set_tainted t e;
+      set_all_tainted t rest
 
 (* Provenance labels for tainted predecessors, deduplicated so paired
    slots ([sa @ sb]) don't yield doubled source lists. *)
@@ -67,6 +156,11 @@ let tainted_src_labels t srcs =
     (List.filter_map
        (fun e -> if is_tainted t e then Some (Elem.to_string e) else None)
        srcs)
+
+let write_dst t dst incoming =
+  match t.mode with
+  | Policy.Cellift -> if incoming then set_tainted t dst
+  | Policy.Diffift -> set t dst incoming
 
 let write t ~diverged dst srcs =
   (match t.prov with
@@ -80,22 +174,30 @@ let write t ~diverged dst srcs =
           else (Provenance.Divergence, [])
         in
         Provenance.record p ~dst:(Elem.to_string dst) ~srcs:labels kind);
-  let incoming = any_tainted t srcs || diverged in
-  match t.mode with
-  | Policy.Cellift -> if incoming then set_tainted t dst
-  | Policy.Diffift -> set t dst incoming
+  write_dst t dst (any_tainted t srcs || diverged)
 
-let ctrl ?(label = "ctrl") ?(psrcs = []) t ~diverged ~st ~diff touched =
+(* A paired write of one destination: without a recorder the two source
+   lists are scanned in place instead of being appended. *)
+let write_pair t ~diverged dst sa sb =
+  match t.prov with
+  | None -> write_dst t dst (any_tainted t sa || any_tainted t sb || diverged)
+  | Some _ -> write t ~diverged dst (sa @ sb)
+
+let ctrl_fires t ~diverged ~st ~diff =
   let propagate =
     st && (match t.mode with Policy.Cellift -> true | Policy.Diffift -> diff)
   in
-  if propagate || (diverged && st) then
+  propagate || (diverged && st)
+
+let ctrl t ~kind ~psrcs ~diverged ~st ~diff touched =
+  if ctrl_fires t ~diverged ~st ~diff then
     match t.prov with
-    | None -> List.iter (set_tainted t) touched
+    | None -> set_all_tainted t touched
     | Some p ->
         let labels = tainted_src_labels t psrcs in
         let kind, labels =
-          if labels <> [] then (Provenance.Ctrl label, labels)
+          if labels <> [] then
+            (Provenance.Ctrl (Effect.ctrl_kind_name kind), labels)
           else (Provenance.Divergence, [])
         in
         List.iter
@@ -119,13 +221,28 @@ let copy_regs_to_spec t =
   done
 
 let snapshot t elems =
-  Hashtbl.reset t.saved;
-  List.iter (fun e -> Hashtbl.replace t.saved e (is_tainted t e)) elems
+  Bytes.fill t.saved 0 dense_size '\000';
+  Etbl.reset t.extra_saved;
+  List.iter
+    (fun e ->
+      let v = is_tainted t e in
+      let id = dense_id e in
+      if id >= 0 then Bytes.set t.saved id (if v then '\002' else '\001')
+      else Etbl.replace t.extra_saved e v)
+    elems
+
+let saved_taint t e =
+  let id = dense_id e in
+  if id >= 0 then
+    match Bytes.get t.saved id with
+    | '\000' -> None
+    | c -> Some (c = '\002')
+  else Etbl.find_opt t.extra_saved e
 
 let restore t elems =
   List.iter
     (fun e ->
-      match Hashtbl.find_opt t.saved e with
+      match saved_taint t e with
       | Some v ->
           (match t.prov with
           | Some p when v && not (is_tainted t e) ->
@@ -138,52 +255,48 @@ let restore t elems =
       | None -> ())
     elems
 
+(* An event present in one instance but not the other (e.g. a cache fill on
+   a hit/miss divergence) takes the same path as in a single-instance
+   slot: the difference itself is secret-dependent, so a control decision
+   counts as differing and its touched state taints — but only if the
+   decision's sources are secret-derived or the instruction streams have
+   diverged; an incidental bookkeeping write (say, a predictor update with
+   clean operands) must not taint just because a neighbouring cache fill
+   was asymmetric. *)
 let apply_event t ~diverged = function
   | Effect.Write (dst, srcs) -> write t ~diverged dst srcs
   | Effect.Copy_regs_to_spec -> copy_regs_to_spec t
   | Effect.Snapshot elems -> snapshot t elems
   | Effect.Restore elems -> restore t elems
   | Effect.Ctrl { kind; srcs; touched; _ } ->
-      (* Unpaired control decision: the twin did something else entirely,
-         so the decision certainly differs. *)
-      ctrl ~label:(Effect.ctrl_kind_name kind) ~psrcs:srcs t ~diverged
+      ctrl t ~kind ~psrcs:srcs ~diverged
         ~st:(any_tainted t srcs || diverged) ~diff:true touched
-
-(* An event present in one instance but not the other (e.g. a cache fill on
-   a hit/miss divergence): the difference itself is secret-dependent, so
-   control decisions count as differing and the touched/written
-   microarchitectural state taints — but only if the decision's sources are
-   secret-derived or the instruction streams have diverged; an incidental
-   bookkeeping write (say, a predictor update with clean operands) must not
-   taint just because a neighbouring cache fill was asymmetric. *)
-let apply_event_unpaired t ~diverged = function
-  | Effect.Write (dst, srcs) -> write t ~diverged dst srcs
-  | Effect.Ctrl { kind; srcs; touched; _ } ->
-      ctrl ~label:(Effect.ctrl_kind_name kind) ~psrcs:srcs t ~diverged
-        ~st:(any_tainted t srcs || diverged) ~diff:true touched
-  | (Effect.Copy_regs_to_spec | Effect.Snapshot _ | Effect.Restore _) as e ->
-      apply_event t ~diverged e
 
 let apply_event_pair t ~diverged ea eb =
   match (ea, eb) with
   | ( Effect.Ctrl { kind = ka; value = va; srcs = sa; touched = ta },
       Effect.Ctrl { kind = kb; value = vb; srcs = sb; touched = tb } )
     when ka = kb ->
-      let st = any_tainted t (sa @ sb) || diverged in
+      let st = any_tainted t sa || any_tainted t sb || diverged in
       let diff = va <> vb || diverged in
-      ctrl ~label:(Effect.ctrl_kind_name ka) ~psrcs:(sa @ sb) t ~diverged ~st
-        ~diff (ta @ tb)
+      (match t.prov with
+      | None ->
+          if ctrl_fires t ~diverged ~st ~diff then begin
+            set_all_tainted t ta;
+            set_all_tainted t tb
+          end
+      | Some _ -> ctrl t ~kind:ka ~psrcs:(sa @ sb) ~diverged ~st ~diff (ta @ tb))
   | Effect.Write (da, sa), Effect.Write (db, sb) when Elem.equal da db ->
-      write t ~diverged da (sa @ sb)
+      write_pair t ~diverged da sa sb
   | _ ->
-      apply_event_unpaired t ~diverged ea;
-      apply_event_unpaired t ~diverged eb
+      apply_event t ~diverged ea;
+      apply_event t ~diverged eb
 
 let rec apply_events t ~diverged ea eb =
   match (ea, eb) with
   | [], [] -> ()
   | e :: rest, [] | [], e :: rest ->
-      apply_event_unpaired t ~diverged e;
+      apply_event t ~diverged e;
       apply_events t ~diverged rest []
   | a :: ra, b :: rb ->
       apply_event_pair t ~diverged a b;
@@ -193,23 +306,52 @@ let apply_pair t sa sb =
   match (sa, sb) with
   | None, None -> ()
   | Some s, None | None, Some s ->
-      List.iter (apply_event t ~diverged:true) s.Effect.sl_events
+      apply_events t ~diverged:true s.Effect.sl_events []
   | Some a, Some b ->
       let diverged = a.Effect.sl_pc <> b.Effect.sl_pc in
       apply_events t ~diverged a.Effect.sl_events b.Effect.sl_events
 
-let tainted_count t = Hashtbl.length t.taints
+let tainted_count t = t.count
 
 let tainted_elems t =
-  List.sort Elem.compare (Hashtbl.fold (fun e () acc -> e :: acc) t.taints [])
+  let acc = ref [] in
+  for r = 0 to Elem.ranks - 1 do
+    (* Scan a rank only until its count is found, skipping clean 8-byte
+       stretches of the (mostly clean) [Mem] range a word at a time. *)
+    let left = ref t.rank_count.(r) and i = ref 0 in
+    let base = bases.(r) and cap = caps.(r) in
+    while !left > 0 do
+      if !i + 8 <= cap && Bytes.get_int64_ne t.taints (base + !i) = 0L then
+        i := !i + 8
+      else begin
+        if Bytes.get t.taints (base + !i) <> '\000' then begin
+          acc := Elem.of_rank r !i :: !acc;
+          decr left
+        end;
+        incr i
+      end
+    done
+  done;
+  let dense = List.rev !acc in
+  if Etbl.length t.extra = 0 then dense
+  else
+    List.merge Elem.compare dense
+      (List.sort Elem.compare (Etbl.fold (fun e () l -> e :: l) t.extra []))
 
 let tainted_by_module t =
   match t.bymod_cache with
   | Some l -> l
   | None ->
+      let l = ref [] in
+      for m = Array.length t.by_module - 1 downto 0 do
+        if t.by_module.(m) > 0 then
+          l := (Elem.module_names.(m), t.by_module.(m)) :: !l
+      done;
       let l =
-        List.sort compare
-          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.by_module [])
+        if Hashtbl.length t.odd_modules = 0 then !l
+        else
+          List.sort compare
+            (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.odd_modules !l)
       in
       t.bymod_cache <- Some l;
       l

@@ -48,6 +48,7 @@ val apply_pair : t -> Effect.slot option -> Effect.slot option -> unit
 val tainted_count : t -> int
 
 val tainted_elems : t -> Elem.t list
+(** Every tainted element, sorted by {!Elem.compare}, without duplicates. *)
 
 val tainted_by_module : t -> (string * int) list
 (** Tainted element count per module tag (only non-zero entries), sorted. *)

@@ -653,6 +653,49 @@ let test_report_rendering () =
   in
   Alcotest.(check bool) "table rendered" true (String.length t5 > 0)
 
+(* Output pin: the MD5 of the rendered stats of four small campaigns, one
+   per engine path (derived diffIFT, CellIFT, random training, XiangShan).
+   A representation change in the taint shadow or the swap region must
+   leave every digest as it is. *)
+let render_stats (s : Campaign.stats) =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Dejavuzz.Report.summary s);
+  Buffer.add_string b
+    (Dejavuzz.Report.table5 ~core_name:"pin" s.Campaign.s_findings);
+  List.iter
+    (fun f ->
+      Printf.bprintf b "%d %s\n" f.Campaign.fd_iteration
+        (Dejavuzz.Report.finding_to_string f))
+    s.Campaign.s_findings;
+  Array.iter (Printf.bprintf b "%d,") s.Campaign.s_coverage_curve;
+  Printf.bprintf b "\ntriggered=%d timeouts=%d crashes=%d final=%d\n"
+    s.Campaign.s_triggered s.Campaign.s_timeouts
+    (List.length s.Campaign.s_crashes)
+    s.Campaign.s_final_coverage;
+  Buffer.contents b
+
+let pinned_campaigns =
+  let base =
+    { Campaign.default_options with
+      Campaign.iterations = 64; rng_seed = 11; batch = 8 }
+  in
+  [ ("boom derived diffift", boom, base, "ce49753ddd5fd07e1670a65f9e1e1982");
+    ( "boom cellift", boom,
+      { base with Campaign.taint_mode = Dvz_ift.Policy.Cellift },
+      "c36b51c19949d925b5fa33d7cfc6cc68" );
+    ( "boom random training", boom, { base with Campaign.style = `Random },
+      "aad9dccca6dd03681541ff857c9f17d7" );
+    ("xiangshan", xs, base, "3ca95484b5d62cc70ae388077f77be6a") ]
+
+let test_campaign_output_pinned () =
+  List.iter
+    (fun (name, cfg, options, digest) ->
+      let got =
+        Digest.to_hex (Digest.string (render_stats (Campaign.run cfg options)))
+      in
+      Alcotest.(check string) name digest got)
+    pinned_campaigns
+
 let test_window_group () =
   Alcotest.(check string) "mem-excp" "mem-excp"
     (Dejavuzz.Report.window_group Seed.T_misalign);
@@ -1089,6 +1132,8 @@ let () =
             test_campaign_engine_validation;
           Alcotest.test_case "dedup" `Quick test_campaign_dedup;
           Alcotest.test_case "report" `Quick test_report_rendering;
+          Alcotest.test_case "output pinned" `Quick
+            test_campaign_output_pinned;
           Alcotest.test_case "window groups" `Quick test_window_group ] );
       ( "simpool",
         [ Alcotest.test_case "identity and keys" `Quick

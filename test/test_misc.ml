@@ -42,6 +42,53 @@ let test_elem_equality () =
   Alcotest.(check bool) "constructor distinguishes" false
     (Elem.equal (Elem.Tlb 2) (Elem.L2tlb 2))
 
+let gen_elem =
+  let open QCheck.Gen in
+  let* rank = int_range 0 15
+  and* i = oneof [ int_range (-40) 40; int_range (-100_000) 100_000 ] in
+  return
+    (match rank with
+    | 0 -> Elem.Pc
+    | 1 -> Elem.Areg i
+    | 2 -> Elem.Sreg i
+    | 3 -> Elem.Mem i
+    | 4 -> Elem.Dcache i
+    | 5 -> Elem.Icache i
+    | 6 -> Elem.Lfb i
+    | 7 -> Elem.Btb i
+    | 8 -> Elem.Bht i
+    | 9 -> Elem.Ras i
+    | 10 -> Elem.Loop i
+    | 11 -> Elem.Tlb i
+    | 12 -> Elem.L2tlb i
+    | 13 -> Elem.Rob i
+    | 14 -> Elem.Ldq i
+    | _ -> Elem.Stq i)
+
+let arb_elem = QCheck.make ~print:Elem.to_string gen_elem
+
+(* The specialised comparison must order exactly like the polymorphic one
+   it replaced: sorted taint lists and every digest built on them depend
+   on it. *)
+let prop_elem_compare_matches_stdlib =
+  QCheck.Test.make ~name:"Elem.compare has Stdlib.compare's sign" ~count:2000
+    QCheck.(pair arb_elem arb_elem)
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      sign (Elem.compare a b) = sign (Stdlib.compare a b)
+      && Elem.equal a b = (a = b)
+      && ((not (Elem.equal a b)) || Elem.hash a = Elem.hash b))
+
+let prop_elem_module_id =
+  QCheck.Test.make ~name:"Elem.module_id names module_of, of_rank inverts"
+    ~count:2000 arb_elem
+    (fun e ->
+      Elem.of_rank (Elem.rank e) (Elem.index e) = e
+      &&
+      match Elem.module_id e with
+      | -1 -> not (List.mem (Elem.module_of e) Elem.all_modules)
+      | m -> Elem.module_names.(m) = Elem.module_of e)
+
 (* --- effects ---------------------------------------------------------------- *)
 
 let test_effect_names () =
@@ -155,7 +202,9 @@ let () =
     [ ( "elem",
         [ Alcotest.test_case "module universe" `Quick test_elem_modules_stable;
           Alcotest.test_case "banking" `Quick test_elem_banking;
-          Alcotest.test_case "equality" `Quick test_elem_equality ] );
+          Alcotest.test_case "equality" `Quick test_elem_equality;
+          QCheck_alcotest.to_alcotest prop_elem_compare_matches_stdlib;
+          QCheck_alcotest.to_alcotest prop_elem_module_id ] );
       ( "effect", [ Alcotest.test_case "names" `Quick test_effect_names ] );
       ( "trace", [ Alcotest.test_case "slot line" `Quick test_trace_slot_content ] );
       ( "render",

@@ -196,6 +196,54 @@ let test_with_schedule_preserves_blobs () =
   Alcotest.(check (list int)) "new schedule" [ 1 ] (Swapmem.schedule sm2);
   Alcotest.(check (list int)) "original untouched" [ 0; 1 ] (Swapmem.schedule sm)
 
+(* Every byte of the modelled memory, for whole-memory comparisons. *)
+let mem_bytes m = String.init Layout.mem_size (fun a -> Char.chr (Phys_mem.read_byte m a))
+
+(* [load_next] must leave exactly the bytes of the word-by-word reference
+   fill, including over stale bytes from an earlier, longer blob. *)
+let test_swap_matches_word_reference () =
+  let max_words = Layout.swap_size / 4 in
+  let ebreak = Dvz_isa.Encode.encode Dvz_isa.Insn.Ebreak in
+  List.iter
+    (fun n ->
+      let words = List.init n (fun i -> (i * 0x9E3779B1) land 0xFFFFFFFF) in
+      let sm = Swapmem.create ~blobs:[ blob "x" words false ] ~schedule:[ 0 ] in
+      let stale m =
+        for a = 0 to Layout.mem_size - 1 do
+          Phys_mem.write_byte m a (a * 7)
+        done
+      in
+      let got = Phys_mem.create () and want = Phys_mem.create () in
+      stale got;
+      stale want;
+      ignore (Swapmem.load_next sm got);
+      Phys_mem.write_words want Layout.swap_base (Array.of_list words);
+      for i = n to max_words - 1 do
+        Phys_mem.write want ~addr:(Layout.swap_base + (4 * i)) ~size:4 ebreak
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-word blob" n)
+        true
+        (mem_bytes got = mem_bytes want))
+    [ 0; 1; max_words - 1; max_words ]
+
+(* [blit] drops out-of-range bytes exactly as byte writes do. *)
+let test_mem_blit_clips () =
+  let src = Bytes.init 64 (fun i -> Char.chr (0x40 + i)) in
+  List.iter
+    (fun (addr, off, len) ->
+      let got = Phys_mem.create () and want = Phys_mem.create () in
+      Phys_mem.blit got ~addr src ~off ~len;
+      for i = 0 to len - 1 do
+        Phys_mem.write_byte want (addr + i) (Char.code (Bytes.get src (off + i)))
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "blit at %d" addr)
+        true
+        (mem_bytes got = mem_bytes want))
+    [ (0x100, 0, 64); (-10, 3, 40); (Layout.mem_size - 20, 8, 56);
+      (Layout.mem_size + 4, 0, 16); (-100, 0, 64) ]
+
 let prop_schedule_multiset =
   QCheck.Test.make ~name:"loaded blobs follow the schedule exactly" ~count:100
     QCheck.(list_of_size (Gen.int_range 0 10) (int_bound 2))
@@ -227,11 +275,14 @@ let () =
           Alcotest.test_case "privilege" `Quick test_checked_privilege;
           Alcotest.test_case "fetch exec bit" `Quick test_checked_fetch_exec;
           Alcotest.test_case "out-of-range checked" `Quick test_checked_oob;
-          Alcotest.test_case "copy isolation" `Quick test_mem_copy_isolated ] );
+          Alcotest.test_case "copy isolation" `Quick test_mem_copy_isolated;
+          Alcotest.test_case "blit clips" `Quick test_mem_blit_clips ] );
       ( "swapmem",
         [ Alcotest.test_case "schedule order" `Quick test_swap_schedule_order;
           Alcotest.test_case "loads words" `Quick test_swap_loads_words;
           Alcotest.test_case "ebreak padding" `Quick test_swap_pads_with_ebreak;
+          Alcotest.test_case "matches word reference" `Quick
+            test_swap_matches_word_reference;
           Alcotest.test_case "overwrite previous" `Quick
             test_swap_overwrites_previous;
           Alcotest.test_case "reset" `Quick test_swap_reset;

@@ -534,6 +534,207 @@ let test_taint_module_counts () =
   Alcotest.(check bool) "ras count 1" true
     (List.assoc_opt "frontend.ras" counts = Some 1)
 
+(* Reference model: the hash-table taint shadow the dense table replaced,
+   kept here (without provenance) to check the two agree slot by slot. *)
+module Ref_taint = struct
+  type t = {
+    cellift : bool;
+    taints : (Elem.t, unit) Hashtbl.t;
+    saved : (Elem.t, bool) Hashtbl.t;
+  }
+
+  let create cellift =
+    { cellift; taints = Hashtbl.create 64; saved = Hashtbl.create 16 }
+
+  let is_tainted t e = Hashtbl.mem t.taints e
+  let set t e v = if v then Hashtbl.replace t.taints e () else Hashtbl.remove t.taints e
+  let any t es = List.exists (is_tainted t) es
+
+  let write t ~diverged dst srcs =
+    let incoming = any t srcs || diverged in
+    if t.cellift then (if incoming then set t dst true) else set t dst incoming
+
+  let ctrl t ~diverged ~st ~diff touched =
+    if (st && (t.cellift || diff)) || (diverged && st) then
+      List.iter (fun e -> set t e true) touched
+
+  let event t ~diverged = function
+    | Eff.Write (dst, srcs) -> write t ~diverged dst srcs
+    | Eff.Copy_regs_to_spec ->
+        for i = 0 to 31 do set t (Elem.Sreg i) (is_tainted t (Elem.Areg i)) done
+    | Eff.Snapshot es ->
+        Hashtbl.reset t.saved;
+        List.iter (fun e -> Hashtbl.replace t.saved e (is_tainted t e)) es
+    | Eff.Restore es ->
+        List.iter (fun e -> Option.iter (set t e) (Hashtbl.find_opt t.saved e)) es
+    | Eff.Ctrl { srcs; touched; _ } ->
+        ctrl t ~diverged ~st:(any t srcs || diverged) ~diff:true touched
+
+  let rec events t ~diverged xs ys =
+    match (xs, ys) with
+    | [], [] -> ()
+    | e :: rest, [] | [], e :: rest ->
+        event t ~diverged e;
+        events t ~diverged rest []
+    | ( Eff.Ctrl { kind = ka; value = va; srcs = sa; touched = ta } :: ra,
+        Eff.Ctrl { kind = kb; value = vb; srcs = sb; touched = tb } :: rb )
+      when ka = kb ->
+        ctrl t ~diverged ~st:(any t (sa @ sb) || diverged)
+          ~diff:(va <> vb || diverged) (ta @ tb);
+        events t ~diverged ra rb
+    | Eff.Write (da, sa) :: ra, Eff.Write (db, sb) :: rb when da = db ->
+        write t ~diverged da (sa @ sb);
+        events t ~diverged ra rb
+    | a :: ra, b :: rb ->
+        event t ~diverged a;
+        event t ~diverged b;
+        events t ~diverged ra rb
+
+  let apply_pair t sa sb =
+    match (sa, sb) with
+    | None, None -> ()
+    | Some s, None | None, Some s ->
+        List.iter (event t ~diverged:true) s.Eff.sl_events
+    | Some a, Some b ->
+        events t ~diverged:(a.Eff.sl_pc <> b.Eff.sl_pc) a.Eff.sl_events
+          b.Eff.sl_events
+
+  let elems t = List.sort compare (Hashtbl.fold (fun e () l -> e :: l) t.taints [])
+
+  let by_module t =
+    let m = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun e () ->
+        let k = Elem.module_of e in
+        Hashtbl.replace m k (1 + Option.value ~default:0 (Hashtbl.find_opt m k)))
+      t.taints;
+    List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) m [])
+end
+
+(* Elements from a small pool, so writes, clears and restores collide:
+   every constructor, with in-range indices, negative ones (a negative
+   address, a banked tag outside the module universe) and [Mem] indices
+   past the modelled memory (XiangShan's B1 aliasing). *)
+let gen_pool_elem =
+  let open QCheck.Gen in
+  let* i = oneofl [ -9; -1; 0; 1; 5; 31; 47; 255; 2560; 8191; 8192; 70_000 ] in
+  oneofl
+    [ Elem.Pc; Elem.Areg (i land 31); Elem.Sreg (i land 31); Elem.Mem i;
+      Elem.Dcache i; Elem.Icache i; Elem.Lfb i; Elem.Btb i; Elem.Bht i;
+      Elem.Ras i; Elem.Loop i; Elem.Tlb i; Elem.L2tlb i; Elem.Rob i;
+      Elem.Ldq i; Elem.Stq i ]
+
+let gen_event =
+  let open QCheck.Gen in
+  let elems = list_size (int_range 0 3) gen_pool_elem in
+  frequency
+    [ (6, map2 (fun d s -> Eff.Write (d, s)) gen_pool_elem elems);
+      ( 4,
+        let* kind = oneofl [ Eff.C_branch; Eff.C_target; Eff.C_addr; Eff.C_squash ]
+        and* value = int_range 0 1
+        and* srcs = elems
+        and* touched = elems in
+        return (Eff.Ctrl { kind; value; srcs; touched }) );
+      (1, return Eff.Copy_regs_to_spec);
+      (1, map (fun es -> Eff.Snapshot es) elems);
+      (1, map (fun es -> Eff.Restore es) elems) ]
+
+(* Instance B's event: usually A's with the same shape (same write
+   destination or decision kind, fresh sources/value), so paired slots
+   take the paired paths; sometimes unrelated. *)
+let gen_twin ea =
+  let open QCheck.Gen in
+  let elems = list_size (int_range 0 3) gen_pool_elem in
+  frequency
+    [ (1, gen_event);
+      ( 3,
+        match ea with
+        | Eff.Write (d, _) -> map (fun s -> Eff.Write (d, s)) elems
+        | Eff.Ctrl c ->
+            map2
+              (fun value srcs -> Eff.Ctrl { c with value; srcs })
+              (int_range 0 1) elems
+        | e -> return e ) ]
+
+let gen_slot_pair =
+  let open QCheck.Gen in
+  let* evs_a = list_size (int_range 0 4) gen_event in
+  let* evs_b = flatten_l (List.map gen_twin evs_a) in
+  let* extra = list_size (int_range 0 1) gen_event in
+  let* pc_b = frequency [ (5, return 0); (1, return 4) ] in
+  let* shape = int_range 0 9 in
+  let a = slot evs_a and b = slot ~pc:pc_b (evs_b @ extra) in
+  return
+    (match shape with 0 -> (Some a, None) | 1 -> (None, Some b) | _ -> (Some a, Some b))
+
+let prop_taintstate_matches_reference =
+  QCheck.Test.make ~name:"dense taint table matches the hash-table model"
+    ~count:300
+    QCheck.(
+      make
+        (Gen.triple Gen.bool
+           (Gen.list_size (Gen.int_range 0 4) gen_pool_elem)
+           (Gen.list_size (Gen.int_range 1 30) gen_slot_pair)))
+    (fun (cellift, sources, slots) ->
+      let mode = if cellift then Dvz_ift.Policy.Cellift else Dvz_ift.Policy.Diffift in
+      let t = Taintstate.create mode in
+      (* the provenance path must leave the same taint state *)
+      let tp =
+        Taintstate.create ~provenance:(Dvz_ift.Provenance.create ()) mode
+      in
+      let r = Ref_taint.create cellift in
+      List.iter
+        (fun e ->
+          Taintstate.set_tainted t e;
+          Taintstate.set_tainted tp e;
+          Ref_taint.set r e true)
+        sources;
+      List.for_all
+        (fun (sa, sb) ->
+          Taintstate.apply_pair t sa sb;
+          Taintstate.apply_pair tp sa sb;
+          Ref_taint.apply_pair r sa sb;
+          let want = Ref_taint.elems r in
+          List.for_all
+            (fun t ->
+              Taintstate.tainted_elems t = want
+              && Taintstate.tainted_count t = List.length want
+              && Taintstate.tainted_by_module t = Ref_taint.by_module r
+              && List.for_all
+                   (fun e ->
+                     Taintstate.is_tainted t e = Ref_taint.is_tainted r e)
+                   (want @ sources))
+            [ t; tp ])
+        slots)
+
+(* Without a recorder, paired writes and decisions are applied in place:
+   no [sa @ sb] append, no closure, no polymorphic compare — zero
+   allocation per slot. *)
+let test_taint_pair_allocation_free () =
+  let t = Taintstate.create Dvz_ift.Policy.Diffift in
+  Taintstate.set_tainted t (Elem.Mem 2560);
+  let mk value =
+    slot
+      [ Eff.Write (Elem.Areg 5, [ Elem.Mem 2560; Elem.Areg 6 ]);
+        Eff.Write (Elem.Sreg 5, [ Elem.Areg 5 ]);
+        Eff.Write (Elem.Mem 70_000, [ Elem.Areg 5 ]);
+        Eff.Ctrl { kind = Eff.C_addr; value; srcs = [ Elem.Areg 5 ];
+                   touched = [ Elem.Dcache 3 ] } ]
+  in
+  let sa = Some (mk 1) and sb = Some (mk 2) in
+  Taintstate.apply_pair t sa sb;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let idle = words (fun () -> ()) in
+  let busy =
+    words (fun () ->
+        for _ = 1 to 1000 do Taintstate.apply_pair t sa sb done)
+  in
+  Alcotest.(check (float 0.)) "1000 paired slots allocate nothing" idle busy
+
 (* --- dual core ----------------------------------------------------------- *)
 
 let test_dualcore_secret_flows () =
@@ -861,7 +1062,10 @@ let () =
           Alcotest.test_case "divergence" `Quick test_taint_divergence;
           Alcotest.test_case "copy/snapshot/restore" `Quick
             test_taint_copy_and_restore;
-          Alcotest.test_case "module counts" `Quick test_taint_module_counts ] );
+          Alcotest.test_case "module counts" `Quick test_taint_module_counts;
+          Alcotest.test_case "paired slots allocation-free" `Quick
+            test_taint_pair_allocation_free;
+          QCheck_alcotest.to_alcotest prop_taintstate_matches_reference ] );
       ( "timing",
         [ Alcotest.test_case "fpu contention" `Quick test_fpu_contention_timing;
           Alcotest.test_case "constant-time control" `Quick
