@@ -49,10 +49,7 @@ type t = {
   extra : unit Etbl.t;  (** tainted elements outside the dense ranges *)
   rank_count : int array;  (** tainted dense ids per rank *)
   mutable count : int;  (** tainted elements, dense and fallback *)
-  saved : Bytes.t;
-      (** window-open checkpoint per dense id: ['\000'] not saved,
-          ['\001'] saved clean, ['\002'] saved tainted *)
-  extra_saved : bool Etbl.t;
+  saved : bool Etbl.t;  (** window-open checkpoint *)
   by_module : int array;
       (** tainted-element counts per [Elem.module_names] entry, maintained
           on taint transitions: [tainted_by_module] is read once per
@@ -70,7 +67,7 @@ type t = {
 let create ?provenance mode =
   { mode; taints = Bytes.make dense_size '\000'; extra = Etbl.create 8;
     rank_count = Array.make Elem.ranks 0; count = 0;
-    saved = Bytes.make dense_size '\000'; extra_saved = Etbl.create 8;
+    saved = Etbl.create 64;
     by_module = Array.make (Array.length Elem.module_names) 0;
     odd_modules = Hashtbl.create 1; bymod_cache = None; prov = provenance }
 
@@ -81,8 +78,7 @@ let reset t =
   Etbl.reset t.extra;
   Array.fill t.rank_count 0 Elem.ranks 0;
   t.count <- 0;
-  Bytes.fill t.saved 0 dense_size '\000';
-  Etbl.reset t.extra_saved;
+  Etbl.reset t.saved;
   Array.fill t.by_module 0 (Array.length t.by_module) 0;
   Hashtbl.reset t.odd_modules;
   t.bymod_cache <- None
@@ -162,11 +158,14 @@ let write_dst t dst incoming =
   | Policy.Cellift -> if incoming then set_tainted t dst
   | Policy.Diffift -> set t dst incoming
 
-let write t ~diverged dst srcs =
+(* [write] and [ctrl] take the sources (and touched state) of both
+   instances of a paired event; an unpaired event passes [[]] for the
+   second.  Only the provenance recorder needs the lists joined. *)
+let write t ~diverged dst sa sb =
   (match t.prov with
   | None -> ()
   | Some p ->
-      let labels = tainted_src_labels t srcs in
+      let labels = tainted_src_labels t (sa @ sb) in
       let incoming = labels <> [] || diverged in
       if incoming && not (is_tainted t dst) then
         let kind, labels =
@@ -174,27 +173,20 @@ let write t ~diverged dst srcs =
           else (Provenance.Divergence, [])
         in
         Provenance.record p ~dst:(Elem.to_string dst) ~srcs:labels kind);
-  write_dst t dst (any_tainted t srcs || diverged)
+  write_dst t dst (any_tainted t sa || any_tainted t sb || diverged)
 
-(* A paired write of one destination: without a recorder the two source
-   lists are scanned in place instead of being appended. *)
-let write_pair t ~diverged dst sa sb =
-  match t.prov with
-  | None -> write_dst t dst (any_tainted t sa || any_tainted t sb || diverged)
-  | Some _ -> write t ~diverged dst (sa @ sb)
-
-let ctrl_fires t ~diverged ~st ~diff =
+let ctrl t ~kind ~diverged ~diff sa sb ta tb =
+  let st = any_tainted t sa || any_tainted t sb || diverged in
   let propagate =
     st && (match t.mode with Policy.Cellift -> true | Policy.Diffift -> diff)
   in
-  propagate || (diverged && st)
-
-let ctrl t ~kind ~psrcs ~diverged ~st ~diff touched =
-  if ctrl_fires t ~diverged ~st ~diff then
+  if propagate || (diverged && st) then
     match t.prov with
-    | None -> set_all_tainted t touched
+    | None ->
+        set_all_tainted t ta;
+        set_all_tainted t tb
     | Some p ->
-        let labels = tainted_src_labels t psrcs in
+        let labels = tainted_src_labels t (sa @ sb) in
         let kind, labels =
           if labels <> [] then
             (Provenance.Ctrl (Effect.ctrl_kind_name kind), labels)
@@ -205,7 +197,7 @@ let ctrl t ~kind ~psrcs ~diverged ~st ~diff touched =
             if not (is_tainted t e) then
               Provenance.record p ~dst:(Elem.to_string e) ~srcs:labels kind;
             set_tainted t e)
-          touched
+          (ta @ tb)
 
 let copy_regs_to_spec t =
   for i = 0 to 31 do
@@ -221,28 +213,13 @@ let copy_regs_to_spec t =
   done
 
 let snapshot t elems =
-  Bytes.fill t.saved 0 dense_size '\000';
-  Etbl.reset t.extra_saved;
-  List.iter
-    (fun e ->
-      let v = is_tainted t e in
-      let id = dense_id e in
-      if id >= 0 then Bytes.set t.saved id (if v then '\002' else '\001')
-      else Etbl.replace t.extra_saved e v)
-    elems
-
-let saved_taint t e =
-  let id = dense_id e in
-  if id >= 0 then
-    match Bytes.get t.saved id with
-    | '\000' -> None
-    | c -> Some (c = '\002')
-  else Etbl.find_opt t.extra_saved e
+  Etbl.reset t.saved;
+  List.iter (fun e -> Etbl.replace t.saved e (is_tainted t e)) elems
 
 let restore t elems =
   List.iter
     (fun e ->
-      match saved_taint t e with
+      match Etbl.find_opt t.saved e with
       | Some v ->
           (match t.prov with
           | Some p when v && not (is_tainted t e) ->
@@ -264,30 +241,21 @@ let restore t elems =
    clean operands) must not taint just because a neighbouring cache fill
    was asymmetric. *)
 let apply_event t ~diverged = function
-  | Effect.Write (dst, srcs) -> write t ~diverged dst srcs
+  | Effect.Write (dst, srcs) -> write t ~diverged dst srcs []
   | Effect.Copy_regs_to_spec -> copy_regs_to_spec t
   | Effect.Snapshot elems -> snapshot t elems
   | Effect.Restore elems -> restore t elems
   | Effect.Ctrl { kind; srcs; touched; _ } ->
-      ctrl t ~kind ~psrcs:srcs ~diverged
-        ~st:(any_tainted t srcs || diverged) ~diff:true touched
+      ctrl t ~kind ~diverged ~diff:true srcs [] touched []
 
 let apply_event_pair t ~diverged ea eb =
   match (ea, eb) with
   | ( Effect.Ctrl { kind = ka; value = va; srcs = sa; touched = ta },
       Effect.Ctrl { kind = kb; value = vb; srcs = sb; touched = tb } )
     when ka = kb ->
-      let st = any_tainted t sa || any_tainted t sb || diverged in
-      let diff = va <> vb || diverged in
-      (match t.prov with
-      | None ->
-          if ctrl_fires t ~diverged ~st ~diff then begin
-            set_all_tainted t ta;
-            set_all_tainted t tb
-          end
-      | Some _ -> ctrl t ~kind:ka ~psrcs:(sa @ sb) ~diverged ~st ~diff (ta @ tb))
+      ctrl t ~kind:ka ~diverged ~diff:(va <> vb || diverged) sa sb ta tb
   | Effect.Write (da, sa), Effect.Write (db, sb) when Elem.equal da db ->
-      write_pair t ~diverged da sa sb
+      write t ~diverged da sa sb
   | _ ->
       apply_event t ~diverged ea;
       apply_event t ~diverged eb
